@@ -19,6 +19,7 @@ from . import __version__
 from .errors import (
     CommutationError,
     DegreeBoundError,
+    DegreeLimitError,
     EigenvalueConditionError,
     FiberConditionError,
     InfeasibleBudgetError,
@@ -52,12 +53,13 @@ from .serialize import (
 from .spectral import (
     backward_correspondence,
     build_spectral_curve,
-    certify_stability,
     char_coefficients,
+    curve_of,
     eigenspace_invariance,
     eigenvalue_condition,
     fiber_points,
     forward_correspondence,
+    forward_on_curve,
     invariant_line_search,
     is_integral,
 )
@@ -72,17 +74,21 @@ _MATH_ERRORS = (
     RetryExhaustedError,
     InfeasibleBudgetError,
     UnsupportedRankError,
+    DegreeLimitError,
 )
 
 _SAMPLE_POINTS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)]
 
 
 def _load_document(path: str) -> dict:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -92,11 +98,11 @@ def _load_document(path: str) -> dict:
     return doc
 
 
-def _fiber_table(curve, data: HeckeData) -> dict:
+def _fiber_table(data: HeckeData, fibers: list) -> dict:
     table = {}
-    for p in data.points:
+    for p, points in zip(data.points, fibers):
         rows = []
-        for point in fiber_points(curve, p.x):
+        for point in points:
             rows.append(
                 {
                     "minimal": format_unipoly(point.field.minimal, "t"),
@@ -131,17 +137,17 @@ def cmd_check(doc: dict, sign: int):
         details["fiber"] = [
             {"x": str(v.x), "ok": v.ok} for v in fiber_verdicts
         ]
-        eig_ok, eig_reports = eigenvalue_condition(pair, hecke, sign)
+        curve = curve_of(pair.first)
+        eig_ok, eig_reports = eigenvalue_condition(pair, curve, hecke, sign)
         verdicts["eigenvalue"] = eig_ok
         details["eigenvalue"] = [
             {"x": str(r.x), "minimal": r.minimal, "ok": r.ok, "note": r.note}
             for r in eig_reports
         ]
-        samples = [x for x in _SAMPLE_POINTS]
         verdicts["eigenspace_invariance"] = all(
-            eigenspace_invariance(pair, x) for x in samples
+            eigenspace_invariance(pair, curve, x) for x in _SAMPLE_POINTS
         )
-        details["invariance_samples"] = [str(x) for x in samples]
+        details["invariance_samples"] = [str(x) for x in _SAMPLE_POINTS]
     ok = all(verdicts.values())
     report = {
         "command": "check",
@@ -186,13 +192,14 @@ def cmd_spectral(doc: dict, sign: int):
     integral, certificate = is_integral(curve)
     report["integral"] = integral
     report["certificate"] = certificate
-    report["fibers"] = _fiber_table(curve, hecke)
+    fibers = [fiber_points(curve, p.x) for p in hecke.points]
+    report["fibers"] = _fiber_table(hecke, fibers)
     if not integral:
         report["instance"] = doc
         return report, 1
     try:
         field = reconstruct(pair, hecke)
-        spectral = forward_correspondence(field, sign)
+        spectral = forward_on_curve(field, curve, fibers, sign)
     except _MATH_ERRORS as exc:
         report["error"] = {"kind": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, EigenvalueConditionError):
@@ -200,8 +207,8 @@ def cmd_spectral(doc: dict, sign: int):
         report["instance"] = doc
         return report, 1
     report["spectral"] = spectral_data_to_json(spectral)
-    verdict, stability_cert = certify_stability(field)
-    report["stability"] = verdict
+    # an integral spectral curve certifies stability
+    report["stability"] = "Stable"
     return report, 0
 
 
@@ -329,17 +336,18 @@ def _selftest_single(field, rng: random.Random, sign: int):
     if not ok:
         return "certified instance fails the fiber condition"
 
-    eig_ok, _ = eigenvalue_condition(pair, data, sign)
+    char_data = char_coefficients(pair.first)
+    chart = build_spectral_curve(char_data)
+    eig_ok, _ = eigenvalue_condition(pair, chart, data, sign)
     if not eig_ok:
         return f"eigenvalue condition fails with sign {sign:+d}"
 
-    chart = build_spectral_curve(char_coefficients(pair.first))
     if chart.chi != char_poly(pair.first.entries):
         return "spectral display disagrees with the characteristic polynomial"
 
     for _ in range(10):
         x0 = Fraction(rng.randint(-6, 6), rng.randint(1, 2))
-        if not eigenspace_invariance(pair, x0):
+        if not eigenspace_invariance(pair, chart, x0):
             return f"eigenspace invariance fails at x = {x0}"
 
     for _ in range(3):
@@ -347,8 +355,7 @@ def _selftest_single(field, rng: random.Random, sign: int):
         total = Fraction(0)
         for point in fiber_points(chart, x0):
             total += point.multiplicity * point.y.trace()
-        s1 = char_coefficients(pair.first).sections[0].poly
-        if total != s1.evaluate(x0):
+        if total != char_data.sections[0].poly.evaluate(x0):
             return f"fiber trace identity fails at x = {x0}"
 
     scale = Fraction(rng.randint(1, 3), rng.randint(1, 2))
@@ -367,21 +374,20 @@ def _selftest_single(field, rng: random.Random, sign: int):
         ok, _ = check_fiber_condition(conj, data)
         if not ok:
             return "fiber condition is not conjugation invariant"
-        if char_coefficients(conj.first).sections != char_coefficients(pair.first).sections:
+        if char_coefficients(conj.first).sections != char_data.sections:
             return "characteristic coefficients are not conjugation invariant"
 
+    integral, _ = is_integral(chart)
     if pair.rank == 2:
-        verdict, _ = certify_stability(field)
         line = invariant_line_search(pair)
-        if verdict == "Stable" and line is not None:
+        if integral and line is not None:
             return "stable instance admits an invariant line"
-        integral, _ = is_integral(chart)
         if not integral and line is None:
             return "non-integral rank-2 curve without an invariant line"
 
-    integral, _ = is_integral(chart)
     if integral:
-        spectral = forward_correspondence(field, sign)
+        fibers = [fiber_points(chart, hp.x) for hp in data.points]
+        spectral = forward_on_curve(field, chart, fibers, sign)
         if spectral.psi_denominator == UniPoly.one():
             try:
                 back = backward_correspondence(spectral, data, sign)

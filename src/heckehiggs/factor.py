@@ -16,10 +16,9 @@ coefficient and verified by exact division.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 from .errors import DegreeLimitError, ValidationError
-from .poly import BiPoly, UniPoly, format_bipoly, format_unipoly
+from .poly import BiPoly, UniPoly, _fraction_sqrt, format_bipoly, format_unipoly
 
 _FACTOR_DEGREE_LIMIT = 8
 
@@ -301,13 +300,6 @@ def irreducible_over_function_field(chi: BiPoly):
     }
 
 
-def squarefree_over_function_field(chi: BiPoly):
-    """True iff chi (monic in t) has no repeated t-factor over Q(x)."""
-    if not chi.is_monic_in_t():
-        raise ValidationError("squarefree test requires a polynomial monic in t")
-    return not chi.resultant_t(chi.derivative_t()).is_zero()
-
-
 def geometric_factor_warning(chi: BiPoly):
     """Best-effort check for reducibility over the algebraic closure.
 
@@ -325,16 +317,9 @@ def geometric_factor_warning(chi: BiPoly):
     if disc.monic().sqrt() is None:
         return None
     lc = disc.leading()
-    if _is_square_fraction(lc):
+    if _fraction_sqrt(lc) is not None:
         return None  # square discriminant: already reducible over Q(x)
     return (
         "discriminant is a constant multiple of a square: factors over a "
         f"quadratic extension of the constants (constant {lc})"
     )
-
-
-def _is_square_fraction(c: Fraction) -> bool:
-    if c < 0:
-        return False
-    rn, rd = isqrt(c.numerator), isqrt(c.denominator)
-    return rn * rn == c.numerator and rd * rd == c.denominator

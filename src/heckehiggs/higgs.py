@@ -87,7 +87,7 @@ class FiberVerdict:
 def check_fiber_condition(pair: HiggsPair, data: HeckeData):
     """Exact fiber equation second(x_i) = lambda_i * first(x_i) at every
     marked point.  Returns (all_ok, per-point verdicts)."""
-    _check_consistency(pair, data)
+    ensure_consistent(pair, data)
     verdicts = []
     all_ok = True
     for p in data.points:
@@ -114,9 +114,6 @@ def ensure_consistent(pair: HiggsPair, data: HeckeData):
         raise ValidationError(
             f"second component has twist {pair.second.twist}, presentation needs {data.b}"
         )
-
-
-_check_consistency = ensure_consistent
 
 
 class TwistedHiggsField:
@@ -157,7 +154,7 @@ def reconstruct(pair: HiggsPair, data: HeckeData) -> TwistedHiggsField:
     equation fails.  On success the returned field is the unique one whose
     components are the given pair.
     """
-    _check_consistency(pair, data)
+    ensure_consistent(pair, data)
     if not check_commutation(pair):
         raise CommutationError("components do not commute")
     ok, verdicts = check_fiber_condition(pair, data)

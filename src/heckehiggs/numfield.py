@@ -10,23 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ValidationError
+from .factor import is_irreducible_rational
 from .poly import UniPoly, format_unipoly
-
-_IRREDUCIBILITY_CHECK = None
-
-
-def _is_irreducible(minimal: UniPoly) -> bool:
-    # factor module imports poly only; resolved lazily to avoid a cycle here
-    global _IRREDUCIBILITY_CHECK
-    if _IRREDUCIBILITY_CHECK is None:
-        from .factor import factor_rationals
-
-        def check(p: UniPoly) -> bool:
-            _, factors = factor_rationals(p)
-            return len(factors) == 1 and factors[0][1] == 1
-
-        _IRREDUCIBILITY_CHECK = check
-    return _IRREDUCIBILITY_CHECK(minimal)
 
 
 class NumberField:
@@ -39,7 +24,7 @@ class NumberField:
             raise ValidationError("minimal polynomial must have degree >= 1")
         if minimal.leading() != 1:
             raise ValidationError("minimal polynomial must be monic")
-        if not trusted and not _is_irreducible(minimal):
+        if not trusted and not is_irreducible_rational(minimal):
             raise ValidationError(
                 f"minimal polynomial {format_unipoly(minimal, 't')!r} is reducible"
             )

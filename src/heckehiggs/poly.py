@@ -321,7 +321,7 @@ class UniPoly:
 
     def resultant(self, other: "UniPoly") -> Fraction:
         """Sylvester-matrix determinant of (self, other)."""
-        rows = _sylvester(list(self.coeffs), list(other.coeffs))
+        rows = _sylvester(list(self.coeffs), list(other.coeffs), 0)
         if rows is None:
             return Fraction(0)
         if not rows:
@@ -343,8 +343,9 @@ def _fraction_sqrt(c: Fraction):
     return None
 
 
-def _sylvester(p: list, q: list):
-    """Sylvester matrix rows for polynomials given by ascending coefficients.
+def _sylvester(p: list, q: list, zero):
+    """Sylvester matrix rows for polynomials given by ascending coefficients,
+    padded with `zero` (0 over Q, the zero polynomial over Q[x]).
 
     Returns None when either polynomial is zero (resultant 0 by convention),
     and [] when both are nonzero constants (empty 0x0 matrix, determinant 1).
@@ -363,12 +364,12 @@ def _sylvester(p: list, q: list):
     pdesc = list(reversed(p))
     qdesc = list(reversed(q))
     for k in range(n):
-        row = [0] * size
+        row = [zero] * size
         for j, c in enumerate(pdesc):
             row[k + j] = c
         rows.append(row)
     for k in range(m):
-        row = [0] * size
+        row = [zero] * size
         for j, c in enumerate(qdesc):
             row[k + j] = c
         rows.append(row)
@@ -625,31 +626,11 @@ class BiPoly:
 
     def resultant_t(self, other: "BiPoly") -> UniPoly:
         """Resultant along t, an element of Q[x] (Sylvester determinant)."""
-        p = list(self.tcoeffs)
-        q = list(self._coerce(other).tcoeffs)
-        while p and p[-1].is_zero():
-            p.pop()
-        while q and q[-1].is_zero():
-            q.pop()
-        if not p or not q:
-            return UniPoly.zero()
-        m, n = len(p) - 1, len(q) - 1
-        if m + n == 0:
-            return UniPoly.one()
-        rows = []
-        pdesc = list(reversed(p))
-        qdesc = list(reversed(q))
-        for k in range(n):
-            row = [UniPoly.zero()] * (m + n)
-            for j, c in enumerate(pdesc):
-                row[k + j] = c
-            rows.append(row)
-        for k in range(m):
-            row = [UniPoly.zero()] * (m + n)
-            for j, c in enumerate(qdesc):
-                row[k + j] = c
-            rows.append(row)
-        return _det_unipoly(rows)
+        zero = UniPoly.zero()
+        rows = _sylvester(
+            list(self.tcoeffs), list(self._coerce(other).tcoeffs), zero
+        )
+        return zero if rows is None else _det_unipoly(rows)
 
 
 class RationalFunction:

@@ -29,11 +29,14 @@ from .projline import SplitBundle, TwistedEndo
 from .spectral import SpectralCurve, SpectralData
 
 
-def _need(obj: dict, key: str, where: str):
+def _need(obj: dict, key: str, where: str, kind: type = object):
+    """obj[key], which must be present and an instance of `kind`."""
     if not isinstance(obj, dict):
         raise ParseError(f"{where} must be a JSON object")
     if key not in obj:
         raise ParseError(f"{where} is missing key {key!r}")
+    if not isinstance(obj[key], kind):
+        raise ParseError(f"{where} key {key!r} must be of JSON type {kind.__name__}")
     return obj[key]
 
 
@@ -49,14 +52,12 @@ def hecke_to_json(data: HeckeData) -> dict:
 
 
 def hecke_from_json(obj: dict) -> HeckeData:
-    a = _need(obj, "S", "hecke")
-    b = _need(obj, "L", "hecke")
-    if not isinstance(a, int) or not isinstance(b, int):
-        raise ParseError("hecke degrees S and L must be integers")
+    a = _need(obj, "S", "hecke", int)
+    b = _need(obj, "L", "hecke", int)
     points = []
-    for entry in _need(obj, "points", "hecke"):
-        x = parse_fraction(_need(entry, "x", "hecke point"))
-        lam = parse_fraction(_need(entry, "lambda", "hecke point"))
+    for entry in _need(obj, "points", "hecke", list):
+        x = parse_fraction(_need(entry, "x", "hecke point", str))
+        lam = parse_fraction(_need(entry, "lambda", "hecke point", str))
         points.append(HeckePoint(x, lam))
     return HeckeData(a, b, points)
 
@@ -66,8 +67,8 @@ def split_bundle_to_json(bundle: SplitBundle) -> dict:
 
 
 def split_bundle_from_json(obj: dict) -> SplitBundle:
-    twists = _need(obj, "twists", "bundle")
-    if not isinstance(twists, list) or not all(isinstance(t, int) for t in twists):
+    twists = _need(obj, "twists", "bundle", list)
+    if not all(isinstance(t, int) for t in twists):
         raise ParseError("bundle twists must be a list of integers")
     return SplitBundle(twists)
 
@@ -80,12 +81,11 @@ def endo_to_json(endo: TwistedEndo) -> dict:
 
 
 def endo_from_json(obj: dict, bundle: SplitBundle, where: str = "endo") -> TwistedEndo:
-    twist = _need(obj, "twist", where)
-    if not isinstance(twist, int):
-        raise ParseError(f"{where} twist must be an integer")
-    raw = _need(obj, "entries", where)
+    twist = _need(obj, "twist", where, int)
     entries = []
-    for row in raw:
+    for row in _need(obj, "entries", where, list):
+        if not isinstance(row, list) or not all(isinstance(text, str) for text in row):
+            raise ParseError(f"{where} entries must be rows of polynomial strings")
         entries.append(tuple(parse_unipoly(text) for text in row))
     return TwistedEndo(bundle, twist, tuple(entries))
 
@@ -95,11 +95,9 @@ def spectral_curve_to_json(curve: SpectralCurve) -> dict:
 
 
 def spectral_curve_from_json(obj: dict) -> SpectralCurve:
-    chi = parse_bipoly(_need(obj, "chi", "spectral"))
-    a = _need(obj, "a", "spectral")
-    r = _need(obj, "r", "spectral")
-    if not isinstance(a, int) or not isinstance(r, int):
-        raise ParseError("spectral degrees a and r must be integers")
+    chi = parse_bipoly(_need(obj, "chi", "spectral", str))
+    a = _need(obj, "a", "spectral", int)
+    r = _need(obj, "r", "spectral", int)
     return SpectralCurve(chi, a, r)
 
 
@@ -113,12 +111,12 @@ def spectral_data_to_json(data: SpectralData) -> dict:
 
 def spectral_data_from_json(obj: dict) -> SpectralData:
     curve = spectral_curve_from_json(obj)
-    psi = parse_bipoly(_need(obj, "psi", "spectral"))
+    psi = parse_bipoly(_need(obj, "psi", "spectral", str))
     den_text = obj.get("psi_denominator", "1")
+    if not isinstance(den_text, str):
+        raise ParseError("spectral key 'psi_denominator' must be of JSON type str")
     den = parse_unipoly(den_text)
-    b = _need(obj, "b", "spectral")
-    if not isinstance(b, int):
-        raise ParseError("spectral twist b must be an integer")
+    b = _need(obj, "b", "spectral", int)
     return SpectralData(curve, psi, den, b)
 
 

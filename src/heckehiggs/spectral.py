@@ -37,7 +37,6 @@ from .factor import (
     factor_rationals,
     geometric_factor_warning,
     irreducible_over_function_field,
-    squarefree_over_function_field,
 )
 from .hecke import HeckeData, HeckePoint, require_valid
 from .higgs import HiggsPair, TwistedHiggsField, check_commutation, ensure_consistent, reconstruct
@@ -55,7 +54,6 @@ from .poly import (
     BiPoly,
     RationalFunction,
     UniPoly,
-    format_bipoly,
     format_unipoly,
 )
 from .projline import (
@@ -160,33 +158,35 @@ def curve_of(endo: TwistedEndo) -> SpectralCurve:
 def is_integral(curve: SpectralCurve):
     """Reduced and irreducible over Q(x), with a certificate.
 
-    Irreducibility is certified over the rational function field; a
-    best-effort warning flags curves that factor over a constant quadratic
-    extension (geometric reducibility) without affecting the verdict.
+    Irreducibility is certified over the rational function field, and its
+    discriminant test doubles as the squarefree test; a best-effort warning
+    flags curves that factor over a constant quadratic extension (geometric
+    reducibility) without affecting the verdict.
     """
-    chi = curve.chi
-    certificate = {}
-    squarefree = squarefree_over_function_field(chi)
-    certificate["squarefree"] = squarefree
-    if not squarefree:
-        from .poly import bipoly_gcd_t
-
-        rep = bipoly_gcd_t(chi, chi.derivative_t())
-        certificate["irreducible"] = False
-        certificate["factor"] = format_bipoly(rep)
-        certificate["reason"] = "repeated factor"
-        return False, certificate
-    verdict, witness = irreducible_over_function_field(chi)
-    certificate["irreducible"] = verdict
+    verdict, witness = irreducible_over_function_field(curve.chi)
+    if witness["kind"] == "repeated_factor":
+        return False, {
+            "squarefree": False,
+            "irreducible": False,
+            "factor": witness["factor"],
+            "reason": "repeated factor",
+        }
+    certificate = {"squarefree": True, "irreducible": verdict}
     if verdict:
         certificate["witness"] = witness
-        warning = geometric_factor_warning(chi)
+        warning = geometric_factor_warning(curve.chi)
         if warning:
             certificate["geometric_warning"] = warning
     else:
         certificate["factor"] = witness.get("factor")
         certificate["reason"] = "reducible over Q(x)"
     return verdict, certificate
+
+
+def _require_integral(curve: SpectralCurve):
+    integral, certificate = is_integral(curve)
+    if not integral:
+        raise NonIntegralError("spectral curve is not integral", certificate)
 
 
 def fiber_points(curve: SpectralCurve, x0) -> list:
@@ -227,12 +227,12 @@ def _eigenspace_and_restriction(first_fiber, second_fiber, point: SpectralFiberP
     return cols, restricted
 
 
-def eigenspace_invariance(pair: HiggsPair, x0) -> bool:
+def eigenspace_invariance(pair: HiggsPair, curve: SpectralCurve, x0) -> bool:
     """Fiberwise consequence of commutation at a base point: every
     generalized eigenspace of the first component's fiber map is preserved by
-    the second's, and the restricted maps commute."""
+    the second's, and the restricted maps commute.  `curve` is the spectral
+    curve of the first component."""
     x0 = Fraction(x0)
-    curve = curve_of(pair.first)
     first_fiber = evaluate_endo(pair.first, x0)
     second_fiber = evaluate_endo(pair.second, x0)
     for point in fiber_points(curve, x0):
@@ -263,15 +263,17 @@ class EigenvalueVerdict:
     note: str = ""
 
 
-def eigenvalue_condition(pair: HiggsPair, data: HeckeData, sign: int = 1):
+def eigenvalue_condition(
+    pair: HiggsPair, curve: SpectralCurve, data: HeckeData, sign: int = 1
+):
     """At each marked point and each fiber point y above it, the second
     component restricted to the generalized eigenspace of y has the single
     generalized eigenvalue sign * lambda_i * y (checked as nilpotency after
-    subtracting the scalar).  Returns (verdict, per-point reports)."""
+    subtracting the scalar).  `curve` is the spectral curve of the first
+    component.  Returns (verdict, per-point reports)."""
     if sign not in (1, -1):
         raise ValidationError("sign must be +1 or -1")
     ensure_consistent(pair, data)
-    curve = curve_of(pair.first)
     reports = []
     all_ok = True
     for hp in data.points:
@@ -325,10 +327,13 @@ def commutant_coordinates(pair: HiggsPair):
     """
     if not check_commutation(pair):
         raise CommutationError("components do not commute")
-    curve = curve_of(pair.first)
-    integral, certificate = is_integral(curve)
-    if not integral:
-        raise NonIntegralError("spectral curve is not integral", certificate)
+    _require_integral(curve_of(pair.first))
+    return _solve_commutant(pair)
+
+
+def _solve_commutant(pair: HiggsPair):
+    """The solve of `commutant_coordinates`, for a commuting pair whose
+    spectral curve is known to be integral."""
     r = pair.rank
     powers = []
     current = endo_scalar(pair.bundle, UniPoly.one(), 0)
@@ -369,23 +374,20 @@ def commutant_coordinates(pair: HiggsPair):
 
 
 def _verify_multiplier_eigenvalues(
-    curve: SpectralCurve,
-    psi: BiPoly,
-    den: UniPoly,
-    data: HeckeData,
-    sign: int,
+    psi: BiPoly, den: UniPoly, data: HeckeData, fibers: list, sign: int
 ):
     """psi(x_i, y)/den(x_i) = sign * lambda_i * y at every fiber point above
-    every marked point; collects witnesses of failure."""
+    every marked point; `fibers` holds the fiber points above each marked
+    point, in order.  Collects witnesses of failure."""
     witnesses = []
-    for hp in data.points:
+    for hp, points in zip(data.points, fibers):
         dval = den.evaluate(hp.x)
         if dval == 0:
             witnesses.append(
                 {"x": str(hp.x), "minimal": "", "note": "multiplier has a pole"}
             )
             continue
-        for point in fiber_points(curve, hp.x):
+        for point in points:
             val = psi.evaluate(hp.x, point.y) / point.field.element(dval)
             target = point.field.element(sign * hp.scale) * point.y
             if val != target:
@@ -405,20 +407,27 @@ def forward_correspondence(field: TwistedHiggsField, sign: int = 1) -> SpectralD
     The curve must be integral; the multiplier is re-verified to hit
     sign * lambda_i * y at every fiber point above the marked points.
     """
-    pair = field.pair
-    data = field.hecke
-    ensure_consistent(pair, data)
-    curve = curve_of(pair.first)
-    integral, certificate = is_integral(curve)
-    if not integral:
-        raise NonIntegralError("spectral curve is not integral", certificate)
-    psi, den = commutant_coordinates(pair)
-    witnesses = _verify_multiplier_eigenvalues(curve, psi, den, data, sign)
+    ensure_consistent(field.pair, field.hecke)
+    curve = curve_of(field.pair.first)
+    _require_integral(curve)
+    fibers = [fiber_points(curve, hp.x) for hp in field.hecke.points]
+    return forward_on_curve(field, curve, fibers, sign)
+
+
+def forward_on_curve(
+    field: TwistedHiggsField, curve: SpectralCurve, fibers: list, sign: int
+) -> SpectralData:
+    """The forward correspondence once `curve`, the spectral curve of the
+    field's first component, is known to be integral; `fibers` holds its
+    fiber points above each marked point, in order.  Commutation needs no
+    second check: `reconstruct` certified it when it built the field."""
+    psi, den = _solve_commutant(field.pair)
+    witnesses = _verify_multiplier_eigenvalues(psi, den, field.hecke, fibers, sign)
     if witnesses:
         raise EigenvalueConditionError(
             "multiplier misses the marked-point eigenvalues", witnesses
         )
-    return SpectralData(curve, psi, den, data.b)
+    return SpectralData(curve, psi, den, field.hecke.b)
 
 
 def multiplication_matrix(curve: SpectralCurve, psi: BiPoly, twist: int) -> TwistedEndo:
@@ -467,15 +476,14 @@ def backward_correspondence(
         raise ValidationError(
             f"multiplier twist {spectral.b} does not match presentation degree {data.b}"
         )
-    integral, certificate = is_integral(curve)
-    if not integral:
-        raise NonIntegralError("spectral curve is not integral", certificate)
+    _require_integral(curve)
     if spectral.psi_denominator != UniPoly.one():
         raise ValidationError(
             "structure-module model needs a polynomial multiplier (denominator 1)"
         )
+    fibers = [fiber_points(curve, hp.x) for hp in data.points]
     witnesses = _verify_multiplier_eigenvalues(
-        curve, spectral.psi, spectral.psi_denominator, data, sign
+        spectral.psi, spectral.psi_denominator, data, fibers, sign
     )
     if witnesses:
         raise EigenvalueConditionError(

@@ -110,17 +110,17 @@ class TestCriterion2EigenvalueConvention:
         minus_failures = 0
         nonzero_fiber_instances = 0
         for field in corpus:
-            ok_plus, _ = eigenvalue_condition(field.pair, field.hecke, 1)
+            curve = curve_of(field.pair.first)
+            ok_plus, _ = eigenvalue_condition(field.pair, curve, field.hecke, 1)
             assert ok_plus
             has_nonzero = False
-            curve = curve_of(field.pair.first)
             for hp in field.hecke.points:
                 for point in fiber_points(curve, hp.x):
                     if not point.y.is_zero():
                         has_nonzero = True
             if has_nonzero:
                 nonzero_fiber_instances += 1
-                ok_minus, _ = eigenvalue_condition(field.pair, field.hecke, -1)
+                ok_minus, _ = eigenvalue_condition(field.pair, curve, field.hecke, -1)
                 if not ok_minus:
                     minus_failures += 1
         assert nonzero_fiber_instances > 0

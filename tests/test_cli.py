@@ -1,6 +1,16 @@
+import io
 import json
+from collections import Counter
+from pathlib import Path
 
+import pytest
+
+import heckehiggs.higgs as higgs_module
+import heckehiggs.spectral as spectral_module
 from heckehiggs.cli import main
+from heckehiggs.poly import BiPoly
+
+GOLDEN = Path(__file__).parent / "golden"
 
 WORKED = {
     "hecke": {"S": 1, "L": 1, "points": [{"x": "0", "lambda": "1"}]},
@@ -302,3 +312,101 @@ class TestDeterminism:
         path = write_doc(tmp_path, WORKED)
         code, report, _ = run(capsys, "check", path)
         assert "timing_ms" in report
+
+
+def _companion_doc(rank, constant):
+    """Instance whose first component is the companion matrix of
+    t^rank - constant, with one marked point at 0 and lambda = 1."""
+    rows = [["0"] * rank for _ in range(rank)]
+    rows[0][rank - 1] = constant
+    for i in range(1, rank):
+        rows[i][i - 1] = "1"
+    return {
+        "hecke": {"S": 1, "L": 1, "points": [{"x": "0", "lambda": "1"}]},
+        "E": {"twists": [0] * rank},
+        "Theta": {"twist": 1, "entries": rows},
+        "ThetaPrime": {"twist": 1, "entries": rows},
+    }
+
+
+class TestFailureContract:
+    @pytest.mark.parametrize("command", ["check", "spectral"])
+    def test_degree_limit_is_a_typed_report(self, command, tmp_path, capsys):
+        # the rank-9 fiber t^9 - 2 is past the factorizer's degree limit
+        path = write_doc(tmp_path, _companion_doc(9, "x + 2"))
+        code, report, _ = run(capsys, "--no-timing", command, path)
+        assert code == 1
+        assert report["error"]["kind"] == "DegreeLimitError"
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: doc["hecke"].update(points=5),
+            lambda doc: doc["Theta"]["entries"][0].__setitem__(0, 0),
+            lambda doc: doc["hecke"]["points"][0].update(x=0),
+        ],
+        ids=["points-number", "entry-number", "x-number"],
+    )
+    def test_wrong_json_types_are_input_errors(self, mutate, tmp_path, capsys):
+        doc = json.loads(json.dumps(WORKED))
+        mutate(doc)
+        code, report, _ = run(capsys, "check", write_doc(tmp_path, doc))
+        assert code == 2
+        assert report["error"]["kind"] == "input"
+
+    @pytest.mark.parametrize("via_stdin", [False, True], ids=["file", "stdin"])
+    def test_non_utf8_bytes_are_an_input_error(
+        self, via_stdin, tmp_path, monkeypatch, capsys
+    ):
+        data = b'{"hecke": "\xff\xfe"}'
+        path = tmp_path / "latin1.json"
+        path.write_bytes(data)
+        if via_stdin:
+            stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+            monkeypatch.setattr("sys.stdin", stdin)
+        code, report, _ = run(capsys, "check", "-" if via_stdin else str(path))
+        assert code == 2
+        assert report["error"]["kind"] == "input"
+
+
+class TestComputeOnce:
+    """Each command derives the spectral curve, its discriminant and the
+    commutator at most once."""
+
+    @pytest.mark.parametrize(
+        "command, expected",
+        [
+            ("check", (1, 0, 1)),
+            ("reconstruct", (0, 0, 1)),
+            ("spectral", (1, 1, 1)),
+            ("build", (0, 1, 1)),
+        ],
+    )
+    def test_golden_instance(self, command, expected, tmp_path, monkeypatch, capsys):
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            spectral_module, "char_poly", counting("char_poly", spectral_module.char_poly)
+        )
+        monkeypatch.setattr(
+            BiPoly, "resultant_t", counting("resultant", BiPoly.resultant_t)
+        )
+        monkeypatch.setattr(
+            higgs_module, "commutator", counting("commutator", higgs_module.commutator)
+        )
+        path = str(GOLDEN / "worked_instance.json")
+        if command == "build":
+            instance = json.loads((GOLDEN / "worked_instance.json").read_text())
+            spectral = json.loads((GOLDEN / "worked_expected_spectral.json").read_text())
+            doc = {"hecke": instance["hecke"], "spectral": spectral["spectral"]}
+            path = write_doc(tmp_path, doc)
+        assert main(["--no-timing", command, path]) == 0
+        capsys.readouterr()
+        assert (counts["char_poly"], counts["resultant"], counts["commutator"]) == expected

@@ -10,7 +10,6 @@ from heckehiggs.factor import (
     irreducible_over_function_field,
     is_irreducible_rational,
     rational_roots,
-    squarefree_over_function_field,
 )
 from heckehiggs.poly import UniPoly, parse_bipoly, parse_unipoly
 
@@ -149,12 +148,17 @@ class TestFunctionFieldIrreducibility:
 
 
 class TestSquarefreeOverFunctionField:
+    # the irreducibility test reports a vanishing discriminant as its own kind
     def test_squarefree(self):
-        assert squarefree_over_function_field(parse_bipoly("t^2 - x"))
+        _, cert = irreducible_over_function_field(parse_bipoly("t^2 - x"))
+        assert cert["kind"] != "repeated_factor"
 
     def test_square_detected(self):
-        assert not squarefree_over_function_field(parse_bipoly("t^2 - 2*x*t + x^2"))
-        assert not squarefree_over_function_field(parse_bipoly("t^2"))
+        for text, factor in (("t^2 - 2*x*t + x^2", "t - x"), ("t^2", "t")):
+            verdict, cert = irreducible_over_function_field(parse_bipoly(text))
+            assert verdict is False
+            assert cert["kind"] == "repeated_factor"
+            assert parse_bipoly(cert["factor"]) == parse_bipoly(factor)
 
 
 class TestGeometricWarning:

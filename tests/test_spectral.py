@@ -188,22 +188,25 @@ class TestFiberPoints:
 class TestEigenspaceInvariance:
     def test_commuting_pair_everywhere(self):
         pair = HiggsPair(E2, THETA, THETA)
+        curve = curve_of(THETA)
         for x0 in (F(0), F(1), F(-1), F(2), F(5)):
-            assert eigenspace_invariance(pair, x0)
+            assert eigenspace_invariance(pair, curve, x0)
 
     def test_non_invariant_pair(self):
         diag = TwistedEndo(E2, 1, [[X, 0], [0, 0]])
         nilp = TwistedEndo(E2, 1, [[0, 1], [0, 0]])
-        assert not eigenspace_invariance(HiggsPair(E2, diag, nilp), 1)
+        assert not eigenspace_invariance(HiggsPair(E2, diag, nilp), curve_of(diag), 1)
 
     def test_zero_pair(self):
         zero = TwistedEndo(E2, 1, [[0, 0], [0, 0]])
-        assert eigenspace_invariance(HiggsPair(E2, zero, zero), 1)
+        assert eigenspace_invariance(HiggsPair(E2, zero, zero), curve_of(zero), 1)
 
 
 class TestEigenvalueCondition:
     def test_worked_instance(self):
-        ok, reports = eigenvalue_condition(HiggsPair(E2, THETA, THETA), H_ONE, 1)
+        ok, reports = eigenvalue_condition(
+            HiggsPair(E2, THETA, THETA), curve_of(THETA), H_ONE, 1
+        )
         assert ok
         assert reports[0].multiplicity == 2
 
@@ -211,21 +214,21 @@ class TestEigenvalueCondition:
         data = HeckeData(1, 2, [HeckePoint(F(1), F(2))])
         second = TwistedEndo(E2, 2, [[0, 2 * X], [2 * X**2, 0]])
         pair = HiggsPair(E2, THETA, second)
-        ok, reports = eigenvalue_condition(pair, data, 1)
+        ok, reports = eigenvalue_condition(pair, curve_of(THETA), data, 1)
         assert ok and len(reports) == 2
 
     def test_flipped_scalar_fails(self):
         data = HeckeData(1, 2, [HeckePoint(F(1), F(-2))])
         second = TwistedEndo(E2, 2, [[0, 2 * X], [2 * X**2, 0]])
-        ok, _ = eigenvalue_condition(HiggsPair(E2, THETA, second), data, 1)
+        ok, _ = eigenvalue_condition(HiggsPair(E2, THETA, second), curve_of(THETA), data, 1)
         assert not ok
 
     def test_sign_flip_detects_convention(self):
         data = HeckeData(1, 2, [HeckePoint(F(1), F(2))])
         second = TwistedEndo(E2, 2, [[0, 2 * X], [2 * X**2, 0]])
         pair = HiggsPair(E2, THETA, second)
-        ok_plus, _ = eigenvalue_condition(pair, data, 1)
-        ok_minus, _ = eigenvalue_condition(pair, data, -1)
+        ok_plus, _ = eigenvalue_condition(pair, curve_of(THETA), data, 1)
+        ok_minus, _ = eigenvalue_condition(pair, curve_of(THETA), data, -1)
         assert ok_plus and not ok_minus
 
     def test_implied_by_fiber_condition(self):
@@ -236,12 +239,12 @@ class TestEigenvalueCondition:
             points = [HeckePoint(F(x), F(rng.choice([1, -1, 2]))) for x in xs]
             data = HeckeData(2, 2, points)
             field = random_valid_instance(data, E2, 2 - max(length - 1, 0), seed)
-            ok, _ = eigenvalue_condition(field.pair, data, 1)
+            ok, _ = eigenvalue_condition(field.pair, curve_of(field.pair.first), data, 1)
             assert ok
 
     def test_invalid_sign_rejected(self):
         with pytest.raises(ValidationError):
-            eigenvalue_condition(HiggsPair(E2, THETA, THETA), H_ONE, 2)
+            eigenvalue_condition(HiggsPair(E2, THETA, THETA), curve_of(THETA), H_ONE, 2)
 
 
 class TestCommutantCoordinates:
