@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedRankError,
     ValidationError,
 )
-from .hecke import HeckeData, make_presentation, splitting_type, validate
+from .hecke import HeckeData, make_presentation, validate
 from .higgs import (
     HiggsPair,
     check_commutation,
@@ -51,6 +51,7 @@ from .serialize import (
     spectral_data_to_json,
 )
 from .spectral import (
+    EigenvalueVerdict,
     backward_correspondence,
     build_spectral_curve,
     char_coefficients,
@@ -114,6 +115,28 @@ def _fiber_table(data: HeckeData, fibers: list) -> dict:
     return table
 
 
+def _eigenvalue_rows(pair, curve, hecke, fiber_verdicts, sign):
+    """The rows of `eigenvalue_condition`, in marked-point order.
+
+    Where the fiber equation second(x_i) = lambda_i * first(x_i) holds,
+    second - lambda_i * y = lambda_i * (first - y) is nilpotent on the
+    generalized eigenspace of each fiber point y.  So there a row is ok for
+    sign +1, and for sign -1 exactly when y = 0 (minimal polynomial t);
+    `eigenvalue_condition` runs only at the points where the equation fails.
+    """
+    rows = []
+    for p, verdict in zip(hecke.points, fiber_verdicts):
+        if not verdict.ok:
+            single = HeckeData(hecke.a, hecke.b, [p])
+            rows += eigenvalue_condition(pair, curve, single, sign)[1]
+            continue
+        for point in fiber_points(curve, p.x):
+            minimal = format_unipoly(point.field.minimal, "t")
+            ok = sign == 1 or minimal == "t"
+            rows.append(EigenvalueVerdict(p.x, minimal, point.multiplicity, ok))
+    return rows
+
+
 def cmd_check(doc: dict, sign: int):
     hecke, bundle, first, second, _ = instance_parts_from_json(doc)
     verdicts = {}
@@ -138,13 +161,16 @@ def cmd_check(doc: dict, sign: int):
             {"x": str(v.x), "ok": v.ok} for v in fiber_verdicts
         ]
         curve = curve_of(pair.first)
-        eig_ok, eig_reports = eigenvalue_condition(pair, curve, hecke, sign)
-        verdicts["eigenvalue"] = eig_ok
+        eig_reports = _eigenvalue_rows(pair, curve, hecke, fiber_verdicts, sign)
+        verdicts["eigenvalue"] = all(r.ok for r in eig_reports)
         details["eigenvalue"] = [
             {"x": str(r.x), "minimal": r.minimal, "ok": r.ok, "note": r.note}
             for r in eig_reports
         ]
-        verdicts["eigenspace_invariance"] = all(
+        # commutation is exact over Q[x], so the fiber maps commute at every
+        # x0, and commuting maps preserve each other's generalized
+        # eigenspaces with commuting restrictions
+        verdicts["eigenspace_invariance"] = verdicts["commutation"] or all(
             eigenspace_invariance(pair, curve, x) for x in _SAMPLE_POINTS
         )
         details["invariance_samples"] = [str(x) for x in _SAMPLE_POINTS]
@@ -243,7 +269,8 @@ def cmd_hecke_make(c: int, d: int, length: int, pool, seed: int):
         report["error"] = {"kind": "retry-exhausted", "message": str(exc)}
         return report, 1
     report["hecke"] = hecke_to_json(data)
-    report["splitting"] = list(splitting_type(data).as_tuple())
+    # make_presentation returns only once splitting_type(data) == (c, d)
+    report["splitting"] = [c, d]
     return report, 0
 
 

@@ -231,7 +231,10 @@ def eigenspace_invariance(pair: HiggsPair, curve: SpectralCurve, x0) -> bool:
     """Fiberwise consequence of commutation at a base point: every
     generalized eigenspace of the first component's fiber map is preserved by
     the second's, and the restricted maps commute.  `curve` is the spectral
-    curve of the first component."""
+    curve of the first component.
+
+    This is the oracle for `check`, which reads the verdict off commutation
+    and calls this only for a pair that does not commute."""
     x0 = Fraction(x0)
     first_fiber = evaluate_endo(pair.first, x0)
     second_fiber = evaluate_endo(pair.second, x0)
@@ -270,7 +273,10 @@ def eigenvalue_condition(
     component restricted to the generalized eigenspace of y has the single
     generalized eigenvalue sign * lambda_i * y (checked as nilpotency after
     subtracting the scalar).  `curve` is the spectral curve of the first
-    component.  Returns (verdict, per-point reports)."""
+    component.  Returns (verdict, per-point reports).
+
+    This is the oracle for `check`, which derives the rows at the points
+    where the fiber equation holds and calls this only at the others."""
     if sign not in (1, -1):
         raise ValidationError("sign must be +1 or -1")
     ensure_consistent(pair, data)

@@ -4,11 +4,19 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
+import heckehiggs.cli as cli_module
+import heckehiggs.hecke as hecke_module
 import heckehiggs.higgs as higgs_module
 import heckehiggs.spectral as spectral_module
-from heckehiggs.cli import main
+from heckehiggs.cli import _SAMPLE_POINTS, cmd_check, main
+from heckehiggs.hecke import make_presentation
+from heckehiggs.higgs import check_commutation, check_fiber_condition
 from heckehiggs.poly import BiPoly
+from heckehiggs.serialize import instance_to_json
+from heckehiggs.spectral import curve_of, eigenspace_invariance, eigenvalue_condition
+from instance_strategies import instances
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -197,6 +205,24 @@ class TestHeckeMakeCommand:
         assert code == 0
         xs = [p["x"] for p in report["hecke"]["points"]]
         assert xs == ["5", "7"]
+
+    def test_splitting_type_computed_once(self, monkeypatch, capsys):
+        calls = Counter()
+        original = hecke_module.splitting_type
+
+        def counting(data):
+            calls["splitting_type"] += 1
+            return original(data)
+
+        monkeypatch.setattr(hecke_module, "splitting_type", counting)
+        # a reference the CLI module holds of its own is counted too
+        monkeypatch.setattr(cli_module, "splitting_type", counting, raising=False)
+        make_presentation(2, 0, 3, range(16), 5)
+        alone = calls["splitting_type"]
+        calls.clear()
+        code, report, _ = run(capsys, "--no-timing", "--seed", "5", "hecke-make", "2", "0", "3")
+        assert code == 0 and report["splitting"] == [2, 0]
+        assert calls["splitting_type"] == alone
 
 
 class TestSelftestCommand:
@@ -410,3 +436,87 @@ class TestComputeOnce:
         assert main(["--no-timing", command, path]) == 0
         capsys.readouterr()
         assert (counts["char_poly"], counts["resultant"], counts["commutator"]) == expected
+
+
+def _reference_check(hecke, pair, sign):
+    """`check`'s verdicts and details, with the eigenvalue condition at every
+    marked point and eigenspace invariance at every sample point computed by
+    the fiberwise oracles."""
+    fiber_ok, fiber = check_fiber_condition(pair, hecke)
+    curve = curve_of(pair.first)
+    eig_ok, rows = eigenvalue_condition(pair, curve, hecke, sign)
+    verdicts = {
+        "hecke_valid": True,
+        "theta_bounds": True,
+        "theta_prime_bounds": True,
+        "commutation": check_commutation(pair),
+        "fiber": fiber_ok,
+        "eigenvalue": eig_ok,
+        "eigenspace_invariance": all(
+            eigenspace_invariance(pair, curve, x) for x in _SAMPLE_POINTS
+        ),
+    }
+    details = {
+        "fiber": [{"x": str(v.x), "ok": v.ok} for v in fiber],
+        "eigenvalue": [
+            {"x": str(r.x), "minimal": r.minimal, "ok": r.ok, "note": r.note}
+            for r in rows
+        ],
+        "invariance_samples": [str(x) for x in _SAMPLE_POINTS],
+    }
+    return verdicts, details
+
+
+class TestCheckDerivations:
+    """`check` derives eigenspace invariance from commutation and the
+    eigenvalue rows from the fiber equation; its reports match the oracles."""
+
+    @given(instances())
+    @settings(max_examples=30, deadline=None)
+    def test_report_matches_oracles(self, instance):
+        hecke, pair = instance
+        doc = instance_to_json(hecke, pair)
+        for sign in (1, -1):
+            report, _ = cmd_check(doc, sign)
+            assert (report["verdicts"], report["details"]) == _reference_check(
+                hecke, pair, sign
+            )
+
+    def _count_check(self, path, monkeypatch, capsys):
+        counts = Counter()
+
+        def counting(name, module):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting("eigenspace_invariance", cli_module)
+        counting("factor_rationals", spectral_module)
+        code, report, _ = run(capsys, "--no-timing", "check", path)
+        return code, report, counts
+
+    def test_golden_check_skips_the_sample_points(self, monkeypatch, capsys):
+        # x = 0 is both the marked point and a sample point: one fiber factored
+        path = str(GOLDEN / "worked_instance.json")
+        code, _, counts = self._count_check(path, monkeypatch, capsys)
+        assert code == 0
+        assert counts["eigenspace_invariance"] == 0
+        assert counts["factor_rationals"] == 1
+
+    def test_non_commuting_document_computes_invariance(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # equal to Theta at the marked point x = 0, but not commuting with it
+        doc = json.loads(json.dumps(WORKED))
+        doc["ThetaPrime"]["entries"] = [["x", "1"], ["x", "0"]]
+        path = write_doc(tmp_path, doc)
+        code, report, counts = self._count_check(path, monkeypatch, capsys)
+        assert code == 1
+        assert report["verdicts"]["commutation"] is False
+        assert report["verdicts"]["fiber"] is True
+        assert report["verdicts"]["eigenspace_invariance"] is False
+        assert counts["eigenspace_invariance"] > 0

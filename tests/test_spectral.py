@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from heckehiggs.errors import (
     EigenvalueConditionError,
@@ -10,11 +12,18 @@ from heckehiggs.errors import (
     ValidationError,
 )
 from heckehiggs.hecke import HeckeData, HeckePoint
-from heckehiggs.higgs import HiggsPair, random_valid_instance, reconstruct
+from heckehiggs.higgs import (
+    HiggsPair,
+    check_commutation,
+    check_fiber_condition,
+    random_valid_instance,
+    reconstruct,
+)
 from heckehiggs.linalg import char_poly
-from heckehiggs.poly import BiPoly, UniPoly, parse_bipoly, parse_unipoly
+from heckehiggs.poly import BiPoly, UniPoly, format_unipoly, parse_bipoly, parse_unipoly
 from heckehiggs.projline import SplitBundle, TwistedEndo
 from heckehiggs.spectral import (
+    EigenvalueVerdict,
     SpectralCurve,
     SpectralData,
     backward_correspondence,
@@ -31,6 +40,7 @@ from heckehiggs.spectral import (
     is_integral,
     multiplication_matrix,
 )
+from instance_strategies import instances
 
 X = UniPoly.variable()
 F = Fraction
@@ -200,6 +210,39 @@ class TestEigenspaceInvariance:
     def test_zero_pair(self):
         zero = TwistedEndo(E2, 1, [[0, 0], [0, 0]])
         assert eigenspace_invariance(HiggsPair(E2, zero, zero), curve_of(zero), 1)
+
+
+class TestOracleProperties:
+    """The verdicts `check` derives instead of computing, against the
+    fiberwise oracles that compute them."""
+
+    @given(
+        instances(),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_commuting_implies_invariance(self, instance, x0):
+        _, pair = instance
+        if check_commutation(pair):
+            assert eigenspace_invariance(pair, curve_of(pair.first), x0)
+
+    @given(instances())
+    @settings(max_examples=30, deadline=None)
+    def test_fiber_equation_decides_eigenvalue_rows(self, instance):
+        hecke, pair = instance
+        curve = curve_of(pair.first)
+        _, fiber = check_fiber_condition(pair, hecke)
+        for sign in (1, -1):
+            _, rows = eigenvalue_condition(pair, curve, hecke, sign)
+            for p, verdict in zip(hecke.points, fiber):
+                if not verdict.ok:
+                    continue
+                derived = []
+                for point in fiber_points(curve, p.x):
+                    minimal = format_unipoly(point.field.minimal, "t")
+                    ok = sign == 1 or minimal == "t"
+                    derived.append(EigenvalueVerdict(p.x, minimal, point.multiplicity, ok))
+                assert [r for r in rows if r.x == p.x] == derived
 
 
 class TestEigenvalueCondition:
