@@ -465,8 +465,16 @@ def cmd_selftest(seed: int, count: int, sign: int):
 # -- entry point ------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ParseError, so that `main` prints it as an
+    input report; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="heckehiggs",
         description="exact checks and spectral correspondence for twisted Higgs pairs",
     )
@@ -498,9 +506,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    start = time.monotonic()
+    args = None
     try:
+        args = _build_parser().parse_args(argv)
+        start = time.monotonic()
         if args.command == "check":
             report, code = cmd_check(_load_document(args.document), args.sign)
         elif args.command == "reconstruct":
@@ -520,7 +529,7 @@ def main(argv=None) -> int:
             raise ParseError(f"unknown command {args.command!r}")
     except (ParseError, ValidationError, OSError) as exc:
         report = {
-            "command": args.command,
+            "command": args.command if args else None,
             "version": __version__,
             "error": {"kind": "input", "message": str(exc)},
         }

@@ -2,8 +2,9 @@
 
 Matrices are tuples of tuples.  Ring entries only need the arithmetic
 dunders and equality against 0; field entries additionally need true
-division.  This covers Fraction, UniPoly, BiPoly, NumberFieldElement and
-RationalFunction without any dispatch machinery.
+division.  This covers Fraction, UniPoly, BiPoly and NumberFieldElement
+without any dispatch machinery.  No solve here runs over the function field
+Q(x): ``poly.RationalFunction`` now serves only ``poly.bipoly_gcd_t``.
 """
 
 from __future__ import annotations

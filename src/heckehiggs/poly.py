@@ -4,8 +4,8 @@
 (ascending degree, no trailing zeros).  ``BiPoly`` stacks ``UniPoly``
 coefficients along powers of a second variable ``t``, so a bivariate
 polynomial chi(x, t) is stored as its list of t-coefficients.
-``RationalFunction`` is the fraction field of ``UniPoly``, used wherever a
-linear solve over the function field is needed.
+``RationalFunction`` is the fraction field of ``UniPoly``; its one user is
+``bipoly_gcd_t``, the Euclidean gcd in t over the function field.
 
 All values are immutable and all operations are pure; the text grammar
 (`parse_bipoly` / `format_bipoly`) is the single parse/print format used by

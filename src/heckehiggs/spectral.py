@@ -52,8 +52,8 @@ from .linalg import (
 from .numfield import NumberField, NumberFieldElement
 from .poly import (
     BiPoly,
-    RationalFunction,
     UniPoly,
+    _det_unipoly,
     format_unipoly,
 )
 from .projline import (
@@ -339,34 +339,32 @@ def commutant_coordinates(pair: HiggsPair):
 
 def _solve_commutant(pair: HiggsPair):
     """The solve of `commutant_coordinates`, for a commuting pair whose
-    spectral curve is known to be integral."""
+    spectral curve is known to be integral.  Then Q(x)^r is one-dimensional
+    over the field Q(x)[t]/chi, so e1 is cyclic for the first component A:
+    K = [e1, A e1, ..., A^(r-1) e1] is invertible, and Cramer's rule over
+    Q[x] solves K c = B e1 for the coordinates."""
     r = pair.rank
-    powers = []
-    current = endo_scalar(pair.bundle, UniPoly.one(), 0)
-    for k in range(r):
-        if k > 0:
-            current = pair.first * current
-        powers.append(current)
-    rows = []
-    rhs = []
-    for i in range(r):
-        for j in range(r):
-            rows.append(
-                tuple(
-                    RationalFunction(powers[k].entries[i][j]) for k in range(r)
-                )
-            )
-            rhs.append((RationalFunction(pair.second.entries[i][j]),))
-    solution = solve_right(tuple(rows), tuple(rhs), RationalFunction.one())
-    if solution is None:
+    powers = [endo_scalar(pair.bundle, UniPoly.one(), 0)]
+    for _ in range(1, r):
+        powers.append(pair.first * powers[-1])
+    krylov = [[power.entries[i][0] for power in powers] for i in range(r)]
+    den = _det_unipoly(krylov)
+    if den.is_zero():
         raise NotInCommutantError(
             "second component is not a polynomial in the first"
         )
-    coords = [solution[k][0] for k in range(r)]
-    den = UniPoly.one()
-    for c in coords:
-        den = den * c.den.exact_div(den.gcd(c.den))
-    numerators = [c.num * den.exact_div(c.den) for c in coords]
+    rhs = [row[0] for row in pair.second.entries]
+    numerators = [
+        _det_unipoly([row[:k] + [b] + row[k + 1:] for row, b in zip(krylov, rhs)])
+        for k in range(r)
+    ]
+    # cancel the common factor, then make the denominator monic
+    common = den
+    for p in numerators:
+        common = common.gcd(p)
+    scale = common * den.exact_div(common).leading()
+    den = den.exact_div(scale)
+    numerators = [p.exact_div(scale) for p in numerators]
     psi = BiPoly(tuple(numerators))
     # exact re-substitution check
     for i in range(r):
@@ -380,13 +378,13 @@ def _solve_commutant(pair: HiggsPair):
 
 
 def _verify_multiplier_eigenvalues(
-    psi: BiPoly, den: UniPoly, data: HeckeData, fibers: list, sign: int
+    psi: BiPoly, den: UniPoly, marked: list, fibers: list, sign: int
 ):
     """psi(x_i, y)/den(x_i) = sign * lambda_i * y at every fiber point above
-    every marked point; `fibers` holds the fiber points above each marked
-    point, in order.  Collects witnesses of failure."""
+    each of the `marked` points; `fibers` holds the fiber points above each,
+    in order.  Collects witnesses of failure."""
     witnesses = []
-    for hp, points in zip(data.points, fibers):
+    for hp, points in zip(marked, fibers):
         dval = den.evaluate(hp.x)
         if dval == 0:
             witnesses.append(
@@ -428,7 +426,9 @@ def forward_on_curve(
     fiber points above each marked point, in order.  Commutation needs no
     second check: `reconstruct` certified it when it built the field."""
     psi, den = _solve_commutant(field.pair)
-    witnesses = _verify_multiplier_eigenvalues(psi, den, field.hecke, fibers, sign)
+    witnesses = _verify_multiplier_eigenvalues(
+        psi, den, field.hecke.points, fibers, sign
+    )
     if witnesses:
         raise EigenvalueConditionError(
             "multiplier misses the marked-point eigenvalues", witnesses
@@ -465,8 +465,8 @@ def backward_correspondence(
     The structure-module model is used: the bundle has twists
     (0, -a, ..., -(r-1)a), the first component is the companion matrix of
     chi, the second is multiplication by psi.  psi must be a genuine
-    polynomial (denominator 1) hitting sign * lambda_i * y at every fiber
-    point above the marked points; with sign = -1 the scalars are flipped
+    polynomial (denominator 1) with psi(x_i, t) = sign * lambda_i * t mod
+    chi(x_i, t) at every marked point; with sign = -1 the scalars are flipped
     before reconstruction so the output is certified under the flipped
     presentation.
     """
@@ -487,33 +487,32 @@ def backward_correspondence(
         raise ValidationError(
             "structure-module model needs a polynomial multiplier (denominator 1)"
         )
-    fibers = [fiber_points(curve, hp.x) for hp in data.points]
-    witnesses = _verify_multiplier_eigenvalues(
-        spectral.psi, spectral.psi_denominator, data, fibers, sign
-    )
-    if witnesses:
-        raise EigenvalueConditionError(
-            "multiplier misses the marked-point eigenvalues", witnesses
+    # the fiber equation in Q[t]/chi(x_i, t) implies the pointwise check at
+    # every fiber point, so fibers are factored only to name a miss
+    missed = [
+        hp
+        for hp in data.points
+        if (spectral.psi.at_x(hp.x) - UniPoly((0, sign * hp.scale)))
+        % curve.chi.at_x(hp.x)
+    ]
+    if missed:
+        fibers = [fiber_points(curve, hp.x) for hp in missed]
+        witnesses = _verify_multiplier_eigenvalues(
+            spectral.psi, spectral.psi_denominator, missed, fibers, sign
         )
-    # over a non-reduced fiber the pointwise check is weaker than the fiber
-    # equation itself; since the multiplier has t-degree < r, that equation
-    # says psi(x_i, t) is literally sign*lambda_i*t
-    higher = []
-    for hp in data.points:
-        spec_psi = spectral.psi.at_x(hp.x)
-        target = UniPoly((0, sign * hp.scale))
-        if spec_psi != target:
-            higher.append(
+        message = "multiplier misses the marked-point eigenvalues"
+        if not witnesses:
+            # a non-reduced fiber: the pointwise check is weaker there
+            message = "multiplier misses the marked-point fiber equation"
+            witnesses = [
                 {
                     "x": str(hp.x),
                     "minimal": "",
                     "note": "fiber equation fails beyond the reduced points",
                 }
-            )
-    if higher:
-        raise EigenvalueConditionError(
-            "multiplier misses the marked-point fiber equation", higher
-        )
+                for hp in missed
+            ]
+        raise EigenvalueConditionError(message, witnesses)
     first = multiplication_matrix(curve, BiPoly.t(), data.a)
     second = multiplication_matrix(curve, spectral.psi, data.b)
     violations = validate_twisted_endo(second)

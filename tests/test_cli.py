@@ -182,6 +182,27 @@ class TestBuildCommand:
         assert report["error"]["kind"] == "EigenvalueConditionError"
         assert report["error"]["witnesses"]
 
+    @pytest.mark.parametrize("sign, x", [(1, "1"), (-1, "0")])
+    def test_rank_one_round_trip(self, sign, x, tmp_path, capsys):
+        # chi = t - x; under sign -1 a rank-1 field needs y = 0 at its marked
+        # points, so that case marks x = 0, and build flips lambda
+        doc = {
+            "hecke": {"S": 1, "L": 1, "points": [{"x": x, "lambda": "1"}]},
+            "E": {"twists": [0]},
+            "Theta": {"twist": 1, "entries": [["x"]]},
+            "ThetaPrime": {"twist": 1, "entries": [["x"]]},
+        }
+        flags = ["--no-timing", "--sign", str(sign)]
+        code, report, _ = run(capsys, *flags, "spectral", write_doc(tmp_path, doc))
+        assert code == 0
+        assert (report["curve"]["chi"], report["spectral"]["psi"]) == ("t - x", "x")
+        build_doc = {"hecke": doc["hecke"], "spectral": report["spectral"]}
+        code, report, _ = run(capsys, *flags, "build", write_doc(tmp_path, build_doc))
+        assert code == 0
+        expected = json.loads(json.dumps(doc))
+        expected["hecke"]["points"][0]["lambda"] = str(sign)
+        assert {key: report["instance"][key] for key in doc} == expected
+
 
 class TestHeckeMakeCommand:
     def test_target_hit(self, capsys):
@@ -394,18 +415,38 @@ class TestFailureContract:
         assert code == 2
         assert report["error"]["kind"] == "input"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["check"], ["selftest", "--seed", "1"], ["--sign", "2", "check", "x"], []],
+        ids=["missing-document", "global-flag-after-command", "bad-choice", "no-command"],
+    )
+    def test_usage_errors_are_input_reports(self, argv, capsys):
+        code, report, err = run(capsys, *argv)
+        assert code == 2
+        assert report["command"] is None
+        assert report["error"]["kind"] == "input"
+        assert "usage:" not in err
+
+    def test_help_keeps_argparse_behaviour(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: heckehiggs")
+
 
 class TestComputeOnce:
     """Each command derives the spectral curve, its discriminant and the
-    commutator at most once."""
+    commutator at most once; a passing `build` factors no fiber, and the
+    commutant solve runs no linear solve over Q(x).  Counted: char_poly,
+    resultant_t, commutator, and spectral's fiber_points and solve_right."""
 
     @pytest.mark.parametrize(
         "command, expected",
         [
-            ("check", (1, 0, 1)),
-            ("reconstruct", (0, 0, 1)),
-            ("spectral", (1, 1, 1)),
-            ("build", (0, 1, 1)),
+            ("check", (1, 0, 1, 0, 0)),
+            ("reconstruct", (0, 0, 1, 0, 0)),
+            ("spectral", (1, 1, 1, 0, 0)),
+            ("build", (0, 1, 1, 0, 0)),
         ],
     )
     def test_golden_instance(self, command, expected, tmp_path, monkeypatch, capsys):
@@ -427,6 +468,10 @@ class TestComputeOnce:
         monkeypatch.setattr(
             higgs_module, "commutator", counting("commutator", higgs_module.commutator)
         )
+        for name in ("fiber_points", "solve_right"):
+            monkeypatch.setattr(
+                spectral_module, name, counting(name, getattr(spectral_module, name))
+            )
         path = str(GOLDEN / "worked_instance.json")
         if command == "build":
             instance = json.loads((GOLDEN / "worked_instance.json").read_text())
@@ -435,7 +480,8 @@ class TestComputeOnce:
             path = write_doc(tmp_path, doc)
         assert main(["--no-timing", command, path]) == 0
         capsys.readouterr()
-        assert (counts["char_poly"], counts["resultant"], counts["commutator"]) == expected
+        names = ("char_poly", "resultant", "commutator", "fiber_points", "solve_right")
+        assert tuple(counts[name] for name in names) == expected
 
 
 def _reference_check(hecke, pair, sign):

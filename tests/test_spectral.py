@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from heckehiggs.errors import (
+    DegreeBoundError,
     EigenvalueConditionError,
     NonIntegralError,
     UnsupportedRankError,
@@ -19,7 +20,7 @@ from heckehiggs.higgs import (
     random_valid_instance,
     reconstruct,
 )
-from heckehiggs.linalg import char_poly
+from heckehiggs.linalg import char_poly, mat_mul
 from heckehiggs.poly import BiPoly, UniPoly, format_unipoly, parse_bipoly, parse_unipoly
 from heckehiggs.projline import SplitBundle, TwistedEndo
 from heckehiggs.spectral import (
@@ -40,7 +41,7 @@ from heckehiggs.spectral import (
     is_integral,
     multiplication_matrix,
 )
-from instance_strategies import instances
+from instance_strategies import instances, valid_fields
 
 X = UniPoly.variable()
 F = Fraction
@@ -416,8 +417,6 @@ class TestBackward:
             backward_correspondence(data, HeckeData(1, 1, []))
 
     def test_degree_bound_violation(self):
-        from heckehiggs.errors import DegreeBoundError
-
         # multiplier x^2*t produces an entry of degree 2 against bound 1
         data = SpectralData(
             SpectralCurve(parse_bipoly("t^2 - x"), 1, 2),
@@ -509,6 +508,81 @@ class TestBackward:
         spectral = forward_correspondence(field)
         again = backward_correspondence(spectral, H_ONE)
         assert again == field
+
+
+def _two_pass_witnesses(spectral, hecke, sign):
+    """`build`'s multiplier verdict as two passes: pointwise at every fiber
+    point over number fields, then the literal identity
+    psi(x_i, t) = sign * lambda_i * t, which for r >= 2 is the fiber equation
+    mod chi(x_i, t) because psi has t-degree < r."""
+    pointwise = []
+    for hp in hecke.points:
+        for point in fiber_points(spectral.curve, hp.x):
+            target = point.field.element(sign * hp.scale) * point.y
+            if spectral.psi.evaluate(hp.x, point.y) != target:
+                minimal = format_unipoly(point.field.minimal, "t")
+                note = "eigenvalue mismatch"
+                pointwise.append({"x": str(hp.x), "minimal": minimal, "note": note})
+    if pointwise:
+        return pointwise
+    note = "fiber equation fails beyond the reduced points"
+    return [
+        {"x": str(hp.x), "minimal": "", "note": note}
+        for hp in hecke.points
+        if spectral.psi.at_x(hp.x) != UniPoly((0, sign * hp.scale))
+    ]
+
+
+class TestCorrespondenceIdentities:
+    """The Q[x] and Q[t] identities that certify the correspondence, against
+    the normal form over Q(x) and the two-pass multiplier check."""
+
+    @given(valid_fields())
+    @settings(max_examples=25, deadline=None)
+    def test_commutant_coordinates_in_normal_form(self, field):
+        pair = field.pair
+        assume(is_integral(curve_of(pair.first))[0])
+        psi, q = commutant_coordinates(pair)
+        r = pair.rank
+        assert q.leading() == 1
+        common = q
+        for k in range(r):
+            common = common.gcd(psi.tcoeff(k))
+        assert common == UniPoly.one()
+        # q * second = sum_k p_k * first^k, by Horner's rule
+        first, second = pair.first.entries, pair.second.entries
+        total = tuple((UniPoly.zero(),) * r for _ in range(r))
+        for k in reversed(range(r)):
+            total = mat_mul(total, first)
+            total = tuple(
+                tuple(e + (psi.tcoeff(k) if i == j else 0) for j, e in enumerate(row))
+                for i, row in enumerate(total)
+            )
+        assert total == tuple(tuple(q * e for e in row) for row in second)
+
+    @given(valid_fields(), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_build_rejects_exactly_the_two_pass_misses(self, field, data):
+        hecke = field.hecke
+        assume(hecke.points and is_integral(curve_of(field.pair.first))[0])
+        spectral = forward_correspondence(field)
+        assume(spectral.psi_denominator == UniPoly.one())
+        # move one marked scalar off the multiplier's value there
+        index = data.draw(st.integers(0, len(hecke.points) - 1))
+        points = list(hecke.points)
+        moved = points[index].scale + data.draw(st.sampled_from((1, -1, F(1, 2))))
+        points[index] = HeckePoint(points[index].x, moved or F(5))
+        moved_hecke = HeckeData(hecke.a, hecke.b, points)
+        for presentation in (hecke, moved_hecke):
+            for sign in (1, -1):
+                try:
+                    backward_correspondence(spectral, presentation, sign)
+                    witnesses = []
+                except EigenvalueConditionError as exc:
+                    witnesses = list(exc.witnesses)
+                except DegreeBoundError:
+                    witnesses = []
+                assert witnesses == _two_pass_witnesses(spectral, presentation, sign)
 
 
 class TestStability:
