@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .errors import (
     CommutationError,
     DegreeBoundError,
-    DegreeLimitError,
     EigenvalueConditionError,
     FiberConditionError,
     HeckeHiggsError,

@@ -19,7 +19,6 @@ from . import __version__
 from .errors import (
     CommutationError,
     DegreeBoundError,
-    DegreeLimitError,
     EigenvalueConditionError,
     FiberConditionError,
     InfeasibleBudgetError,
@@ -75,7 +74,6 @@ _MATH_ERRORS = (
     RetryExhaustedError,
     InfeasibleBudgetError,
     UnsupportedRankError,
-    DegreeLimitError,
 )
 
 _SAMPLE_POINTS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)]

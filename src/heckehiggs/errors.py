@@ -13,10 +13,6 @@ class ValidationError(HeckeHiggsError):
     """Structurally invalid input data (duplicate points, bad degrees, ...)."""
 
 
-class DegreeLimitError(HeckeHiggsError):
-    """Univariate factorization asked beyond its supported degree."""
-
-
 class CommutationError(HeckeHiggsError):
     """The two components of a Higgs pair do not commute."""
 

@@ -1,9 +1,19 @@
 """Factorization over the rationals and irreducibility over Q(x).
 
-Univariate polynomials are factored by rational-root extraction followed by
-a degree-bounded search for integer factors (divisor-constrained
-interpolation after clearing content).  This is exact and certifiable up to
-degree 8; higher degrees raise ``DegreeLimitError``.
+Univariate polynomials are factored by the Zassenhaus method on plain Python
+integers (von zur Gathen-Gerhard, *Modern Computer Algebra*, ch. 14-15).
+After clearing denominators and content, a few small primes p are tried that
+keep the degree and leave the polynomial squarefree mod p.  Distinct-degree
+factorization mod each of them bounds the degrees a factor over Q can have,
+and the prime with the fewest factors is split completely by seeded
+Cantor-Zassenhaus equal-degree factorization.  A multifactor Hensel lift
+carries those factors to p^k past twice the leading coefficient times the
+Landau-Mignotte bound, and products of subsets of them, smallest subsets
+first and of admissible degree only, are tried as factors over Z by exact
+division.  Only a polynomial that is squarefree modulo no small prime is
+first split by Yun's squarefree decomposition over Q.  There is no degree
+limit and no step factors a coefficient; only the recombination is
+exponential, in the number of factors modulo p.
 
 Bivariate polynomials monic in t are tested for irreducibility over the
 function field Q(x).  A specialization at a rational point is used as a
@@ -15,155 +25,338 @@ coefficient and verified by exact division.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import combinations, count, zip_longest
+from math import gcd, isqrt, lcm
 
-from .errors import DegreeLimitError, ValidationError
+from .errors import ValidationError
 from .poly import BiPoly, UniPoly, _fraction_sqrt, format_bipoly, format_unipoly
 
-_FACTOR_DEGREE_LIMIT = 8
+# Primes tried before a polynomial squarefree modulo none of them is handed to
+# Yun's decomposition; 2 is left out, so equal-degree splitting can use
+# (p^d - 1)/2 powers.
+_SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19)
+
+# Good primes whose distinct-degree factorizations are compared.
+_PRIME_TRIALS = 3
 
 
-def _integer_divisors(n: int):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
+# -- dense integer polynomials, lowest degree first, modulo m ----------------
+
+
+def _reduce(a, m):
+    a = [c % m for c in a]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _add(a, b, m):
+    return _reduce([x + y for x, y in zip_longest(a, b, fillvalue=0)], m)
+
+
+def _sub(a, b, m):
+    return _reduce([x - y for x, y in zip_longest(a, b, fillvalue=0)], m)
+
+
+def _mul(a, b, m):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+    return _reduce(out, m)
+
+
+def _divmod(a, b, m):
+    """Quotient and remainder of a by b in (Z/m)[x]; lc(b) must be a unit."""
+    n = len(b) - 1
+    if len(a) <= n:
+        return [], _reduce(a, m)
+    inv = pow(b[-1], -1, m)
+    rem = list(a)
+    quo = [0] * (len(a) - n)
+    for k in range(len(a) - 1, n - 1, -1):
+        c = rem[k] * inv % m
+        quo[k - n] = c
+        if c:
+            for j in range(n):
+                rem[k - n + j] -= c * b[j]
+    return _reduce(quo, m), _reduce(rem[:n], m)
+
+
+def _monic(a, m):
+    inv = pow(a[-1], -1, m)
+    return [c * inv % m for c in a]
+
+
+def _gcd(a, b, p):
+    """Monic gcd in F_p[x]; a must be nonzero."""
+    while b:
+        a, b = b, _divmod(a, b, p)[1]
+    return _monic(a, p)
+
+
+def _xgcd(a, b, p):
+    """(s, t) with s*a + t*b = 1 in F_p[x], deg s < deg b and deg t < deg a,
+    for coprime a and b of positive degree."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _sub(s0, _mul(q, s1, p), p)
+        t0, t1 = t1, _sub(t0, _mul(q, t1, p), p)
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def _powmod(a, e, f, p):
+    """a^e mod f in F_p[x]."""
+    result, base = [1], _divmod(a, f, p)[1]
+    while e:
+        if e & 1:
+            result = _divmod(_mul(result, base, p), f, p)[1]
+        e >>= 1
+        if e:
+            base = _divmod(_mul(base, base, p), f, p)[1]
+    return result
+
+
+# -- factorization in F_p[x] ---------------------------------------------------
+
+
+def _distinct_degree(f, p):
+    """Distinct-degree factorization of a monic squarefree f in F_p[x]: pairs
+    (g, d) with g the product of the irreducible factors of degree d."""
+    out, h, d = [], [0, 1], 0
+    while 2 * (d + 1) <= len(f) - 1:
         d += 1
-    return small + large[::-1]
+        h = _powmod(h, p, f, p)  # x^(p^d) mod f
+        g = _gcd(f, _sub(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _divmod(f, g, p)[0]
+            h = _divmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _equal_degree(g, d, p, rng):
+    """Cantor-Zassenhaus: the monic irreducible factors of a monic g in
+    F_p[x], p odd, whose irreducible factors all have degree d."""
+    n = len(g) - 1
+    if n == d:
+        return [g]
+    e = (p**d - 1) // 2
+    while True:
+        a = _reduce([rng.randrange(p) for _ in range(n)], p)
+        if len(a) < 2:
+            continue
+        b = _gcd(g, _sub(_powmod(a, e, g, p), [1], p), p)
+        if 1 < len(b) < len(g):
+            return _equal_degree(b, d, p, rng) + _equal_degree(_divmod(g, b, p)[0], d, p, rng)
+
+
+def _best_prime(f, primes):
+    """Among the first few primes of `primes` modulo which the primitive f
+    keeps its degree and stays squarefree, the one with the fewest
+    irreducible factors: (p, its distinct-degree factorization, the bit mask
+    of the degrees a factor of f over Q can have).  None when no prime of
+    `primes` is good."""
+    n = len(f) - 1
+    allowed, best, trials = (1 << n + 1) - 1, None, 0
+    for p in primes:
+        if f[-1] % p == 0:
+            continue
+        fp = _monic(_reduce(f, p), p)
+        if len(_gcd(fp, _reduce([i * c for i, c in enumerate(fp)][1:], p), p)) > 1:
+            continue
+        ddf = _distinct_degree(fp, p)
+        sums, factors = 1, 0
+        for g, d in ddf:
+            for _ in range((len(g) - 1) // d):
+                sums |= sums << d
+                factors += 1
+        allowed &= sums
+        if best is None or factors < best[0]:
+            best = (factors, p, ddf)
+        trials += 1
+        if trials == _PRIME_TRIALS or allowed == 1 | 1 << n:
+            break
+    return None if best is None else (best[1], best[2], allowed)
+
+
+# -- lifting and recombination over Z ------------------------------------------
+
+
+def _hensel_step(f, g, h, s, t, m):
+    """One quadratic Hensel step (MCA Algorithm 15.10): from f = g*h and
+    s*g + t*h = 1 modulo some n with m dividing n^2, h monic, to the same
+    identities modulo m."""
+    e = _sub(f, _mul(g, h, m), m)
+    q, r = _divmod(_mul(s, e, m), h, m)
+    g = _add(g, _add(_mul(t, e, m), _mul(q, g, m), m), m)
+    h = _add(h, r, m)
+    b = _sub(_add(_mul(s, g, m), _mul(t, h, m), m), [1], m)
+    c, d = _divmod(_mul(s, b, m), h, m)
+    s = _sub(s, d, m)
+    t = _sub(t, _add(_mul(t, b, m), _mul(c, g, m), m), m)
+    return g, h, s, t
+
+
+def _lift_factors(f, factors, p, k):
+    """Monic factors modulo p^k of f that reduce to `factors` modulo p, given
+    f = lc(f) * prod(factors) mod p with the factors monic and coprime."""
+    if len(factors) == 1:
+        return [_monic(_reduce(f, p**k), p**k)]
+    half = len(factors) // 2
+    g, h = [f[-1] % p], [1]
+    for a in factors[:half]:
+        g = _mul(g, a, p)
+    for a in factors[half:]:
+        h = _mul(h, a, p)
+    s, t = _xgcd(g, h, p)
+    exponents = [k]
+    while exponents[-1] > 1:
+        exponents.append((exponents[-1] + 1) // 2)
+    for e in reversed(exponents[:-1]):
+        g, h, s, t = _hensel_step(f, g, h, s, t, p**e)
+    return _lift_factors(g, factors[:half], p, k) + _lift_factors(h, factors[half:], p, k)
+
+
+def _primitive(a):
+    c = gcd(*a)
+    if a[-1] < 0:
+        c = -c
+    return [v // c for v in a]
+
+
+def _exact_quotient(f, g):
+    """f / g in Z[x] when g divides f there, else None; g(0) must be nonzero."""
+    if f[-1] % g[-1] or f[0] % g[0]:
+        return None
+    n = len(g) - 1
+    rem = list(f)
+    quo = [0] * (len(f) - n)
+    for k in range(len(f) - 1, n - 1, -1):
+        q, r = divmod(rem[k], g[-1])
+        if r:
+            return None
+        quo[k - n] = q
+        if q:
+            for j in range(n):
+                rem[k - n + j] -= q * g[j]
+    return None if any(rem[:n]) else quo
+
+
+def _recombine(f, lifted, m, allowed):
+    """The irreducible factors over Z of the primitive f, from its monic
+    factors modulo m: each subset of the lifted factors, smallest first and
+    only where the bit of its degree is set in `allowed`, names the candidate
+    lc(f) * product mod m, which is kept when it divides f exactly."""
+    found, size = [], 1
+    while 2 * size <= len(lifted):
+        for subset in combinations(range(len(lifted)), size):
+            if not allowed >> sum(len(lifted[i]) - 1 for i in subset) & 1:
+                continue
+            cand = [f[-1]]
+            for i in subset:
+                cand = _mul(cand, lifted[i], m)
+            cand = _primitive([c - m if 2 * c > m else c for c in cand])
+            quotient = _exact_quotient(f, cand)
+            if quotient is not None:
+                found.append(cand)
+                f = quotient
+                lifted = [g for i, g in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    return found + [f]
+
+
+def _zassenhaus(f, image):
+    """Irreducible factors over Z of a primitive squarefree f with f(0) != 0,
+    given the `_best_prime` image of f."""
+    p, ddf, allowed = image
+    n = len(f) - 1
+    if allowed == 1 | 1 << n:
+        return [f]
+    rng = random.Random(p)
+    modular = [a for g, d in ddf for a in _equal_degree(g, d, p, rng)]
+    bound = 2 * abs(f[-1]) * 2**n * (isqrt(sum(c * c for c in f)) + 1)
+    k, m = 1, p
+    while m <= bound:
+        k, m = k + 1, m * p
+    return _recombine(f, _lift_factors(f, modular, p, k), m, allowed)
+
+
+def _odd_primes():
+    for n in count(3, 2):
+        if all(n % q for q in range(3, isqrt(n) + 1, 2)):
+            yield n
+
+
+def _integer_primitive(coeffs):
+    """The primitive integer multiple, with positive leading coefficient, of
+    a nonzero list of Fractions."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in coeffs])
+
+
+def _yun(f):
+    """Squarefree decomposition over Q (Yun 1976): pairs (a, i) of primitive,
+    squarefree, pairwise coprime integer polynomials with f = prod a^i."""
+    poly = UniPoly(f)
+    derivative = poly.derivative()
+    a = poly.gcd(derivative)
+    b = poly.exact_div(a)
+    d = derivative.exact_div(a) - b.derivative()
+    parts, i = [], 1
+    while b.degree > 0:
+        a = b.gcd(d)
+        b = b.exact_div(a)
+        d = d.exact_div(a) - b.derivative()
+        if a.degree > 0:
+            parts.append((_integer_primitive(a.coeffs), i))
+        i += 1
+    return parts
+
+
+def _factor_primitive(f):
+    """Irreducible factors over Z with multiplicities of a primitive f of
+    positive degree with f(0) != 0."""
+    image = _best_prime(f, _SMALL_PRIMES)
+    if image is None:
+        return [
+            (g, i) for a, i in _yun(f) for g in _zassenhaus(a, _best_prime(a, _odd_primes()))
+        ]
+    return [(g, 1) for g in _zassenhaus(f, image)]
 
 
 def rational_roots(p: UniPoly):
-    """All rational roots with multiplicities, found by the rational root test."""
-    if p.is_zero():
-        raise ZeroDivisionError("rational roots of the zero polynomial")
-    roots = []
-    low = 0
-    while p.coeff(low) == 0 and low <= p.degree:
-        low += 1
-    if low > 0:
-        roots.append((Fraction(0), low))
-        p = UniPoly(p.coeffs[low:])
-    if p.degree < 1:
-        return roots
-    _, prim = p.content_primitive()
-    lead = int(prim.leading())
-    trail = int(prim.coeff(0))
-    seen = set()
-    for num in _integer_divisors(trail):
-        for den in _integer_divisors(lead):
-            for sign in (1, -1):
-                cand = Fraction(sign * num, den)
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if p.evaluate(cand) == 0:
-                    mult = 0
-                    while p.evaluate(cand) == 0:
-                        p = p.exact_div(UniPoly((-cand, 1)))
-                        mult += 1
-                    roots.append((cand, mult))
-    return roots
-
-
-def _interp_candidate(points, values):
-    return UniPoly.interpolate(list(zip(points, values)))
-
-
-def _search_integer_factor(prim: UniPoly):
-    """Find a nonconstant proper factor of a primitive integer polynomial
-    with no rational roots, or None.  Candidates of each degree d are
-    interpolated through signed divisors of the values at small integers."""
-    n = prim.degree
-    for d in range(2, n // 2 + 1):
-        points = []
-        value_divisors = []
-        arg = 0
-        while len(points) < d + 1:
-            x0 = Fraction((arg + 1) // 2 * (1 if arg % 2 == 0 else -1))
-            arg += 1
-            v = prim.evaluate(x0)
-            if v == 0:
-                continue
-            divs = _integer_divisors(int(v))
-            signed = []
-            for dv in divs:
-                signed.append(Fraction(dv))
-                signed.append(Fraction(-dv))
-            points.append(x0)
-            value_divisors.append(signed)
-        order = sorted(range(d + 1), key=lambda i: len(value_divisors[i]))
-        points = [points[i] for i in order]
-        value_divisors = [value_divisors[i] for i in order]
-
-        def recurse(idx, chosen):
-            if idx == d + 1:
-                cand = _interp_candidate(points, chosen)
-                if cand.degree != d:
-                    return None
-                if cand.leading() < 0:
-                    return None
-                if any(c.denominator != 1 for c in cand.coeffs):
-                    return None
-                if int(prim.leading()) % int(cand.leading()) != 0:
-                    return None
-                q, r = divmod(prim, cand)
-                if r.is_zero():
-                    return cand
-                return None
-            for value in value_divisors[idx]:
-                found = recurse(idx + 1, chosen + [value])
-                if found is not None:
-                    return found
-            return None
-
-        found = recurse(0, [])
-        if found is not None:
-            return found
-    return None
+    """All rational roots with multiplicities, read off the linear factors."""
+    _, factors = factor_rationals(p)
+    return [(-g.coeff(0), mult) for g, mult in factors if g.degree == 1]
 
 
 def factor_rationals(p: UniPoly):
     """Full factorization over Q: returns (content, [(monic irreducible, mult)])
-    with content * product(factor^mult) == p exactly."""
+    with content * product(factor^mult) == p exactly, the factors sorted by
+    (degree, coefficients)."""
     if p.is_zero():
         raise ZeroDivisionError("factorization of the zero polynomial")
-    content = p.leading()
-    work = p.monic()
-    factors = []
-    for root, mult in rational_roots(work):
-        lin = UniPoly((-root, 1))
-        for _ in range(mult):
-            work = work.exact_div(lin)
-        factors.append((lin, mult))
-    while work.degree >= 1:
-        if work.degree <= 3:
-            factors.append((work, 1))
-            break
-        if work.degree > _FACTOR_DEGREE_LIMIT:
-            raise DegreeLimitError(
-                f"degree {work.degree} exceeds the supported factorization "
-                f"limit {_FACTOR_DEGREE_LIMIT}"
-            )
-        _, prim = work.content_primitive()
-        g = _search_integer_factor(prim)
-        if g is None:
-            factors.append((work, 1))
-            break
-        gm = g.monic()
-        mult = 0
-        while True:
-            q, r = divmod(work, gm)
-            if not r.is_zero():
-                break
-            work = q
-            mult += 1
-        factors.append((gm, mult))
+    low = next(i for i, c in enumerate(p.coeffs) if c)
+    factors = [(UniPoly.variable(), low)] if low else []
+    f = _integer_primitive(p.coeffs[low:])
+    if len(f) > 1:
+        for g, mult in _factor_primitive(f):
+            factors.append((UniPoly(Fraction(c, g[-1]) for c in g), mult))
     factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return content, factors
+    return p.leading(), factors
 
 
 def is_irreducible_rational(p: UniPoly) -> bool:

@@ -378,12 +378,16 @@ def _companion_doc(rank, constant):
 
 class TestFailureContract:
     @pytest.mark.parametrize("command", ["check", "spectral"])
-    def test_degree_limit_is_a_typed_report(self, command, tmp_path, capsys):
-        # the rank-9 fiber t^9 - 2 is past the factorizer's degree limit
+    def test_rank_nine_is_decided(self, command, tmp_path, capsys):
+        # the factorizer has no degree limit: the fiber t^9 - 2 at x = 0
+        # is factored like any other
         path = write_doc(tmp_path, _companion_doc(9, "x + 2"))
         code, report, _ = run(capsys, "--no-timing", command, path)
-        assert code == 1
-        assert report["error"]["kind"] == "DegreeLimitError"
+        assert code == 0
+        if command == "check":
+            assert all(report["verdicts"].values())
+        else:
+            assert report["stability"] == "Stable"
 
     @pytest.mark.parametrize(
         "mutate",

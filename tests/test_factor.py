@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heckehiggs.errors import DegreeLimitError, ValidationError
+from heckehiggs.errors import ValidationError
 from heckehiggs.factor import (
     factor_rationals,
     geometric_factor_warning,
@@ -34,6 +36,13 @@ class TestRationalRoots:
 
     def test_no_roots(self):
         assert rational_roots(X**2 + 1) == []
+
+    def test_huge_root(self):
+        roots = dict(rational_roots((X - 10**30) * (X + 3)))
+        assert roots == {Fraction(10**30): 1, Fraction(-3): 1}
+
+    def test_huge_constant_without_roots(self):
+        assert rational_roots(X**2 - (10**40 + 7)) == []
 
 
 class TestFactorRationals:
@@ -66,9 +75,25 @@ class TestFactorRationals:
         with pytest.raises(ZeroDivisionError):
             factor_rationals(UniPoly.zero())
 
-    def test_degree_limit(self):
-        with pytest.raises(DegreeLimitError):
-            factor_rationals(X**9 + X + 1)
+    def test_degree_nine(self):
+        p = X**9 + X + 1
+        content, factors = factor_rationals(p)
+        assert remultiply(content, factors) == p
+        assert factors == [(p, 1)]
+
+    def test_swinnerton_dyer_is_irreducible(self):
+        # the minimal polynomial of sqrt(2) + sqrt(3) + sqrt(5): it splits
+        # into factors of degree at most 2 modulo every prime
+        p = parse_unipoly("x^8 - 40*x^6 + 352*x^4 - 960*x^2 + 576")
+        assert factor_rationals(p) == (1, [(p, 1)])
+
+    def test_square_of_a_quartic(self):
+        q = parse_unipoly("x^4 + 1234*x^3 - 567*x^2 + 8901*x - 2345")
+        assert factor_rationals(q * q) == (1, [(q, 2)])
+
+    def test_large_coefficient_fiber_is_irreducible(self):
+        p = parse_unipoly("x^4 + 5*x^3 + 62*x^2 - 68*x + 990")
+        assert factor_rationals(p) == (1, [(p, 1)])
 
     def test_closure_on_random_products(self):
         rng = random.Random(5)
@@ -85,12 +110,45 @@ class TestFactorRationals:
             p = UniPoly.constant(Fraction(rng.randint(1, 5), rng.randint(1, 3)))
             for _ in range(rng.randint(1, 3)):
                 p = p * rng.choice(pool)
-            if p.degree > 8:
-                continue
             content, factors = factor_rationals(p)
             assert remultiply(content, factors) == p
             for g, _ in factors:
                 assert is_irreducible_rational(g)
+
+
+@st.composite
+def eisenstein(draw):
+    """A polynomial irreducible over Q by Eisenstein's criterion at 2 or 3,
+    shifted by x -> x + c."""
+    prime = draw(st.sampled_from([2, 3]))
+    degree = draw(st.integers(1, 5))
+    unit = st.integers(-9, 9).filter(lambda a: a % prime)
+    coeffs = [prime * draw(unit)]
+    coeffs += [prime * draw(st.integers(-9, 9)) for _ in range(degree - 1)]
+    coeffs.append(draw(unit))
+    return UniPoly(coeffs).shift(draw(st.integers(-5, 5)))
+
+
+class TestFactorOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(eisenstein(), st.integers(1, 3)), min_size=1, max_size=6),
+        st.fractions(min_value=-50, max_value=50, max_denominator=9).filter(bool),
+    )
+    def test_products_of_eisenstein_polynomials(self, drawn, content):
+        p, expected, degree = UniPoly.constant(content), {}, 0
+        for g, mult in drawn:
+            if degree + g.degree * mult > 16:
+                continue
+            degree += g.degree * mult
+            p = p * g**mult
+            key = g.monic()
+            expected[key] = expected.get(key, 0) + mult
+        got_content, factors = factor_rationals(p)
+        assert remultiply(got_content, factors) == p
+        assert dict(factors) == expected
+        assert len(factors) == len(expected)
+        assert factors == sorted(factors, key=lambda fm: (fm[0].degree, fm[0].coeffs))
 
 
 class TestFunctionFieldIrreducibility:
