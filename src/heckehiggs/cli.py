@@ -38,27 +38,28 @@ from .higgs import (
     random_valid_instance,
     reconstruct,
 )
-from .linalg import char_poly
-from .poly import UniPoly, format_bipoly, format_unipoly
+from .linalg import char_poly, mat_identity, mat_mul, solve_right
+from .poly import UniPoly, format_unipoly
 from .projline import SplitBundle, TwistedEndo, validate_twisted_endo
 from .serialize import (
     hecke_to_json,
     instance_from_json,
     instance_parts_from_json,
     instance_to_json,
+    spectral_curve_to_json,
     spectral_data_from_json,
     spectral_data_to_json,
 )
 from .spectral import (
     EigenvalueVerdict,
     backward_correspondence,
+    backward_on_curve,
     build_spectral_curve,
     char_coefficients,
     curve_of,
     eigenspace_invariance,
     eigenvalue_condition,
     fiber_points,
-    forward_correspondence,
     forward_on_curve,
     invariant_line_search,
     is_integral,
@@ -95,6 +96,16 @@ def _load_document(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ParseError("document root must be a JSON object")
     return doc
+
+
+def _failure(report: dict, exc: Exception, doc: dict):
+    """Finish `report` as a mathematical failure (exit 1) that carries the
+    reproducing document."""
+    report["error"] = {"kind": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, EigenvalueConditionError):
+        report["error"]["witnesses"] = list(exc.witnesses)
+    report["instance"] = doc
+    return report, 1
 
 
 def _fiber_table(data: HeckeData, fibers: list) -> dict:
@@ -212,7 +223,7 @@ def cmd_spectral(doc: dict, sign: int):
     data = char_coefficients(pair.first)
     report["char_coefficients"] = [format_unipoly(s.poly) for s in data.sections]
     curve = build_spectral_curve(data)
-    report["curve"] = {"chi": format_bipoly(curve.chi), "a": curve.a, "r": curve.r}
+    report["curve"] = spectral_curve_to_json(curve)
     integral, certificate = is_integral(curve)
     report["integral"] = integral
     report["certificate"] = certificate
@@ -225,11 +236,7 @@ def cmd_spectral(doc: dict, sign: int):
         field = reconstruct(pair, hecke)
         spectral = forward_on_curve(field, curve, fibers, sign)
     except _MATH_ERRORS as exc:
-        report["error"] = {"kind": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, EigenvalueConditionError):
-            report["error"]["witnesses"] = list(exc.witnesses)
-        report["instance"] = doc
-        return report, 1
+        return _failure(report, exc, doc)
     report["spectral"] = spectral_data_to_json(spectral)
     # an integral spectral curve certifies stability
     report["stability"] = "Stable"
@@ -249,11 +256,7 @@ def cmd_build(doc: dict, sign: int):
     try:
         field = backward_correspondence(spectral, hecke, sign)
     except _MATH_ERRORS as exc:
-        report["error"] = {"kind": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, EigenvalueConditionError):
-            report["error"]["witnesses"] = list(exc.witnesses)
-        report["instance"] = doc
-        return report, 1
+        return _failure(report, exc, doc)
     report["instance"] = instance_to_json(field.hecke, field.pair, spectral)
     report["certificate"] = field.certificate
     return report, 0
@@ -319,30 +322,20 @@ def _generate_instance(rng: random.Random):
 
 
 def _constant_conjugate(endo: TwistedEndo, g, g_inv) -> TwistedEndo:
-    rows = []
-    r = endo.rank
-    for i in range(r):
-        row = []
-        for j in range(r):
-            acc = UniPoly.zero()
-            for k in range(r):
-                for l in range(r):
-                    acc = acc + endo.entries[k][l] * (g[i][k] * g_inv[l][j])
-            row.append(acc)
-        rows.append(tuple(row))
-    return TwistedEndo(endo.source, endo.twist, tuple(rows))
+    return TwistedEndo(
+        endo.source, endo.twist, mat_mul(mat_mul(g, endo.entries), g_inv)
+    )
 
 
 def _random_invertible(rng: random.Random, r: int):
-    from .linalg import mat_identity, solve_right
-    from .poly import _det_fraction
-
+    """A random integer matrix g and its inverse; g X = I has no solution
+    exactly when g is singular, and then g is drawn again."""
     while True:
         g = tuple(
             tuple(Fraction(rng.randint(-2, 2)) for _ in range(r)) for _ in range(r)
         )
-        if _det_fraction(g) != 0:
-            inv = solve_right(g, mat_identity(r, Fraction(1)), Fraction(1))
+        inv = solve_right(g, mat_identity(r, Fraction(1)), Fraction(1))
+        if inv is not None:
             return g, inv
 
 
@@ -404,7 +397,7 @@ def _selftest_single(field, rng: random.Random, sign: int):
 
     integral, _ = is_integral(chart)
     if pair.rank == 2:
-        line = invariant_line_search(pair)
+        line = invariant_line_search(pair, chart)
         if integral and line is not None:
             return "stable instance admits an invariant line"
         if not integral and line is None:
@@ -413,20 +406,20 @@ def _selftest_single(field, rng: random.Random, sign: int):
     if integral:
         fibers = [fiber_points(chart, hp.x) for hp in data.points]
         spectral = forward_on_curve(field, chart, fibers, sign)
+        # the chart is integral and psi a polynomial: the input checks of
+        # the correspondences hold, so their bodies run on the known fibers
         if spectral.psi_denominator == UniPoly.one():
             try:
-                back = backward_correspondence(spectral, data, sign)
+                back = backward_on_curve(spectral, data, sign)
             except DegreeBoundError:
                 back = None
             if back is not None:
-                again = forward_correspondence(back, sign)
-                if (
-                    again.curve.chi != spectral.curve.chi
-                    or again.psi != spectral.psi
-                    or again.psi_denominator != spectral.psi_denominator
-                ):
+                if curve_of(back.pair.first).chi != chart.chi:
                     return "spectral round trip changed the rank-1 data"
-                back2 = backward_correspondence(again, data, sign)
+                again = forward_on_curve(back, chart, fibers, sign)
+                if again != spectral:
+                    return "spectral round trip changed the rank-1 data"
+                back2 = backward_on_curve(again, data, sign)
                 if back2 != back:
                     return "companion-model round trip changed the field"
     return None

@@ -183,13 +183,16 @@ def _random_poly(rng: random.Random, degree: int) -> UniPoly:
     return UniPoly([_random_fraction(rng) for _ in range(degree + 1)])
 
 
+# random sections tried by `make_presentation` before it gives up
+_MAX_RETRIES = 64
+
+
 def make_presentation(
     c: int,
     d: int,
     length: int,
     point_pool,
     rng_seed: int,
-    max_retries: int = 64,
 ) -> HeckeData:
     """Construct a presentation whose kernel bundle splits as (c, d).
 
@@ -238,7 +241,7 @@ def make_presentation(
         return data
 
     target = (c, d)
-    for _ in range(max_retries):
+    for _ in range(_MAX_RETRIES):
         f = _random_poly(rng, a - c)
         g = _random_poly(rng, b - c)
         if any(f.evaluate(x) == 0 or g.evaluate(x) == 0 for x in xs):
@@ -249,5 +252,5 @@ def make_presentation(
             return data
     raise RetryExhaustedError(
         f"could not realize splitting ({c}, {d}) with {length} points "
-        f"after {max_retries} attempts"
+        f"after {_MAX_RETRIES} attempts"
     )

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .factor import is_irreducible_rational
-from .poly import UniPoly, format_unipoly
+from .poly import UniPoly, _power, format_unipoly
 
 
 class NumberField:
@@ -163,14 +163,7 @@ class NumberFieldElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, self.field.one())
 
     def trace(self) -> Fraction:
         """Field trace down to Q: trace of the multiplication-by-self matrix."""

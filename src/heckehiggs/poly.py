@@ -6,6 +6,10 @@ coefficients along powers of a second variable ``t``, so a bivariate
 polynomial chi(x, t) is stored as its list of t-coefficients.
 ``RationalFunction`` is the fraction field of ``UniPoly``; its one user is
 ``bipoly_gcd_t``, the Euclidean gcd in t over the function field.
+Resultants are taken along t only (``BiPoly.resultant_t``): a Sylvester
+determinant over Q[x] by fraction-free elimination (``_det_unipoly``, which
+the commutant solve also uses).  ``_power`` is the one repeated-squaring loop,
+shared by ``UniPoly``, ``BiPoly`` and number-field elements.
 
 All values are immutable and all operations are pure; the text grammar
 (`parse_bipoly` / `format_bipoly`) is the single parse/print format used by
@@ -20,8 +24,6 @@ from typing import Iterable, Sequence
 
 from .errors import ParseError
 
-Scalar = Fraction
-
 
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -29,6 +31,17 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"cannot treat {value!r} as a rational number")
+
+
+def _power(base, n: int, one):
+    """base**n for n >= 0 by repeated squaring; `one` is the unit of base's ring."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
 
 
 class UniPoly:
@@ -177,14 +190,7 @@ class UniPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = UniPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, UniPoly.one())
 
     def __divmod__(self, other: "UniPoly"):
         """Exact long division; ``other`` must be nonzero."""
@@ -268,32 +274,6 @@ class UniPoly:
         """p(x + offset)."""
         return self.compose(UniPoly((_as_fraction(offset), 1)))
 
-    def content_primitive(self):
-        """Write p = content * primitive with primitive in Z[x], positive
-        leading coefficient and coprime integer coefficients."""
-        if self.is_zero():
-            return Fraction(0), UniPoly.zero()
-        from math import gcd as igcd
-
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // igcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        num = 0
-        for v in ints:
-            num = igcd(num, abs(v))
-        sign = -1 if ints[-1] < 0 else 1
-        content = Fraction(sign * num, den)
-        prim = UniPoly(tuple(Fraction(v * sign, num) for v in ints))
-        return content, prim
-
-    def squarefree_part(self) -> "UniPoly":
-        """p / gcd(p, p'), returned monic; input must be nonzero."""
-        if self.is_zero():
-            raise ZeroDivisionError("squarefree part of the zero polynomial")
-        g = self.gcd(self.derivative())
-        return self.exact_div(g).monic()
-
     def sqrt(self):
         """Exact polynomial square root, or None when p is not a square."""
         if self.is_zero():
@@ -319,15 +299,6 @@ class UniPoly:
             return h
         return None
 
-    def resultant(self, other: "UniPoly") -> Fraction:
-        """Sylvester-matrix determinant of (self, other)."""
-        rows = _sylvester(list(self.coeffs), list(other.coeffs), 0)
-        if rows is None:
-            return Fraction(0)
-        if not rows:
-            return Fraction(1)
-        return _det_fraction(rows)
-
 
 def _fraction_sqrt(c: Fraction):
     if c < 0:
@@ -343,9 +314,9 @@ def _fraction_sqrt(c: Fraction):
     return None
 
 
-def _sylvester(p: list, q: list, zero):
-    """Sylvester matrix rows for polynomials given by ascending coefficients,
-    padded with `zero` (0 over Q, the zero polynomial over Q[x]).
+def _sylvester(p: list, q: list):
+    """Sylvester matrix rows for polynomials over Q[x] given by ascending
+    coefficients, padded with the zero polynomial.
 
     Returns None when either polynomial is zero (resultant 0 by convention),
     and [] when both are nonzero constants (empty 0x0 matrix, determinant 1).
@@ -360,6 +331,7 @@ def _sylvester(p: list, q: list, zero):
     size = m + n
     if size == 0:
         return []
+    zero = UniPoly.zero()
     rows = []
     pdesc = list(reversed(p))
     qdesc = list(reversed(q))
@@ -374,33 +346,6 @@ def _sylvester(p: list, q: list, zero):
             row[k + j] = c
         rows.append(row)
     return rows
-
-
-def _det_fraction(rows) -> Fraction:
-    """Gaussian-elimination determinant over the rationals."""
-    n = len(rows)
-    mat = [[_as_fraction(c) for c in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if mat[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = Fraction(1) / mat[col][col]
-        for r in range(col + 1, n):
-            if mat[r][col] == 0:
-                continue
-            factor = mat[r][col] * inv
-            for c in range(col, n):
-                mat[r][c] -= factor * mat[col][c]
-    return det
 
 
 def _det_unipoly(rows) -> UniPoly:
@@ -556,14 +501,7 @@ class BiPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = BiPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, BiPoly.one())
 
     @staticmethod
     def _coerce(other):
@@ -626,11 +564,8 @@ class BiPoly:
 
     def resultant_t(self, other: "BiPoly") -> UniPoly:
         """Resultant along t, an element of Q[x] (Sylvester determinant)."""
-        zero = UniPoly.zero()
-        rows = _sylvester(
-            list(self.tcoeffs), list(self._coerce(other).tcoeffs), zero
-        )
-        return zero if rows is None else _det_unipoly(rows)
+        rows = _sylvester(list(self.tcoeffs), list(self._coerce(other).tcoeffs))
+        return UniPoly.zero() if rows is None else _det_unipoly(rows)
 
 
 class RationalFunction:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
+from .linalg import mat_mul
 from .poly import UniPoly, format_unipoly
 
 
@@ -173,17 +174,9 @@ class TwistedEndo:
             return NotImplemented
         if self.source != other.source:
             raise ValidationError("composition over different bundles")
-        r = self.rank
-        out = []
-        for i in range(r):
-            row = []
-            for j in range(r):
-                acc = UniPoly.zero()
-                for k in range(r):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(tuple(row))
-        return TwistedEndo(self.source, self.twist + other.twist, tuple(out))
+        return TwistedEndo(
+            self.source, self.twist + other.twist, mat_mul(self.entries, other.entries)
+        )
 
     def scale(self, c) -> "TwistedEndo":
         """Multiply every entry by a rational constant."""

@@ -487,6 +487,16 @@ def backward_correspondence(
         raise ValidationError(
             "structure-module model needs a polynomial multiplier (denominator 1)"
         )
+    return backward_on_curve(spectral, data, sign)
+
+
+def backward_on_curve(
+    spectral: SpectralData, data: HeckeData, sign: int
+) -> TwistedHiggsField:
+    """The backward correspondence once the input checks of
+    `backward_correspondence` hold: `data` is valid with the curve's twists,
+    the curve is integral and psi is a polynomial."""
+    curve = spectral.curve
     # the fiber equation in Q[t]/chi(x_i, t) implies the pointwise check at
     # every fiber point, so fibers are factored only to name a miss
     missed = [
@@ -553,19 +563,19 @@ class InvariantLine:
     second_invariant: bool
 
 
-def invariant_line_search(pair: HiggsPair):
+def invariant_line_search(pair: HiggsPair, curve: SpectralCurve):
     """Rank-2 search for a first-component-invariant line subbundle.
 
     Returns an InvariantLine exactly when the characteristic polynomial is
     reducible over Q(x) (equivalently its discriminant is a polynomial
     square), reporting whether the line is also second-invariant; returns
-    None for an irreducible curve.
+    None for an irreducible curve.  `curve` is the spectral curve of the
+    first component, chi = t^2 - s1 t + s2.
     """
     if pair.rank != 2:
         raise UnsupportedRankError("invariant line search is rank-2 only")
-    s = char_coefficients(pair.first)
-    s1 = s.sections[0].poly
-    s2 = s.sections[1].poly
+    s1 = -curve.chi.tcoeff(1)
+    s2 = curve.chi.tcoeff(0)
     disc = s1 * s1 - 4 * s2
     root = disc.sqrt()
     if root is None:

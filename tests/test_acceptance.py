@@ -401,7 +401,7 @@ class TestCriterion6Stability:
             )
             integral_fields.append(reconstruct(HiggsPair(bundle, first, second), hecke))
         for field in integral_fields:
-            assert invariant_line_search(field.pair) is None
+            assert invariant_line_search(field.pair, curve_of(field.pair.first)) is None
             verdict, _ = certify_stability(field)
             assert verdict == "Stable"
 
@@ -415,7 +415,7 @@ class TestCriterion6Stability:
                 reconstruct(HiggsPair(bundle, first, zero), hecke)
             )
         for field in reducible_fields:
-            line = invariant_line_search(field.pair)
+            line = invariant_line_search(field.pair, curve_of(field.pair.first))
             assert line is not None
             verdict, _ = certify_stability(field)
             assert verdict == "Unknown"

@@ -1,8 +1,11 @@
 import io
 import json
+import sys
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -376,7 +379,84 @@ def _companion_doc(rank, constant):
     }
 
 
+# Values that replace a document entry: other JSON types, well-formed text,
+# and polynomial text built from tokens whose exponents stay small.  Every
+# number token starts with a space, so no two of them join into a longer
+# exponent.
+_VALUES = [
+    None, True, 0, -2, 3, 1.5, [], {}, ["0"], {"x": "0"},
+    "", "2", "-1/2", "x + 1", "t^2 - x",
+]
+_GRAMMAR_TOKENS = [
+    "x", "t", "x^2", "t^3", "^", "^2", "*", "+", "-", "/",
+    " 1", " 2/3", " 0", " 1/0", "(", "y", " ",
+]
+
+
+def _paths(node, prefix=()):
+    """Paths to every entry below the root of a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated(draw, doc):
+    """`doc` with one to three entries dropped or replaced by another value
+    or by malformed polynomial text."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        kind = draw(st.sampled_from(["drop", "value", "grammar"]))
+        if kind == "drop":
+            del parent[path[-1]]
+        elif kind == "value":
+            parent[path[-1]] = json.loads(json.dumps(draw(st.sampled_from(_VALUES))))
+        else:
+            tokens = draw(st.lists(st.sampled_from(_GRAMMAR_TOKENS), max_size=6))
+            parent[path[-1]] = "".join(tokens)
+    return doc
+
+
+def _golden_build_doc():
+    instance = json.loads((GOLDEN / "worked_instance.json").read_text())
+    spectral = json.loads((GOLDEN / "worked_expected_spectral.json").read_text())
+    return {"hecke": instance["hecke"], "spectral": spectral["spectral"]}
+
+
 class TestFailureContract:
+    @given(
+        st.one_of(
+            _mutated(json.loads((GOLDEN / "worked_instance.json").read_text())),
+            _mutated(_golden_build_doc()),
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_mutated_documents_get_one_report(self, doc):
+        text = json.dumps(doc)
+        for command in ("check", "reconstruct", "spectral", "build"):
+            out = io.StringIO()
+            saved, sys.stdin = sys.stdin, io.StringIO(text)
+            try:
+                with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                    code = main(["--no-timing", command, "-"])
+            finally:
+                sys.stdin = saved
+            assert code in (0, 1, 2)
+            assert isinstance(json.loads(out.getvalue()), dict)
+
     @pytest.mark.parametrize("command", ["check", "spectral"])
     def test_rank_nine_is_decided(self, command, tmp_path, capsys):
         # the factorizer has no degree limit: the fiber t^9 - 2 at x = 0
@@ -478,14 +558,26 @@ class TestComputeOnce:
             )
         path = str(GOLDEN / "worked_instance.json")
         if command == "build":
-            instance = json.loads((GOLDEN / "worked_instance.json").read_text())
-            spectral = json.loads((GOLDEN / "worked_expected_spectral.json").read_text())
-            doc = {"hecke": instance["hecke"], "spectral": spectral["spectral"]}
-            path = write_doc(tmp_path, doc)
+            path = write_doc(tmp_path, _golden_build_doc())
         assert main(["--no-timing", command, path]) == 0
         capsys.readouterr()
         names = ("char_poly", "resultant", "commutator", "fiber_points", "solve_right")
         assert tuple(counts[name] for name in names) == expected
+
+    def test_selftest_certifies_each_curve_once(self, monkeypatch, capsys):
+        calls = Counter()
+        original = spectral_module.is_integral
+
+        def counting(curve):
+            calls["is_integral"] += 1
+            return original(curve)
+
+        for module in (cli_module, spectral_module):
+            monkeypatch.setattr(module, "is_integral", counting)
+        argv = ["--no-timing", "--seed", "0", "selftest", "--count", "5"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert calls["is_integral"] == 5
 
 
 def _reference_check(hecke, pair, sign):

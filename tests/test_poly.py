@@ -5,6 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from heckehiggs.errors import ParseError
+from heckehiggs.numfield import NumberField, NumberFieldElement
 from heckehiggs.poly import (
     BiPoly,
     RationalFunction,
@@ -132,30 +133,6 @@ class TestUniPolyArithmetic:
             assert f.evaluate(x0) == y0
 
 
-class TestSquarefree:
-    def test_constructed_square(self):
-        assert ((X - 1) * (X - 1)).squarefree_part() == X - 1
-
-    def test_already_squarefree(self):
-        assert (X**2 - 1).squarefree_part() == X**2 - 1
-
-    def test_with_derivative_gcd(self):
-        # x^3 - x^2 = x^2 (x - 1); the squarefree part is x(x-1)
-        assert (X**3 - X**2).squarefree_part() == X**2 - X
-
-    def test_zero_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            UniPoly.zero().squarefree_part()
-
-    @given(unipolys(3))
-    def test_squarefree_properties(self, p):
-        if p.is_zero() or p.degree < 1:
-            return
-        s = p.squarefree_part()
-        assert (p % s).is_zero()
-        assert s.gcd(s.derivative()).degree <= 0
-
-
 class TestResultant:
     def test_res_t_of_tsquared_minus_x(self):
         chi = parse_bipoly("t^2 - x")
@@ -169,13 +146,15 @@ class TestResultant:
         r = parse_bipoly("t - x").resultant_t(parse_bipoly("t - x - 1"))
         assert r == UniPoly.constant(-1)
 
+    # a polynomial over Q, read in t with constant coefficients: its
+    # resultant along t is the scalar resultant
     @given(unipolys(3), unipolys(3))
     @settings(max_examples=40)
     def test_matches_sylvester_oracle(self, p, q):
         oracle = sylvester_det_oracle(p, q)
         if oracle is None:
             return
-        assert p.resultant(q) == oracle
+        assert BiPoly(p.coeffs).resultant_t(BiPoly(q.coeffs)) == oracle
 
     def test_bivariate_matches_oracle(self):
         chi = parse_bipoly("t^2 - x")
@@ -188,7 +167,32 @@ class TestResultant:
         assert chi.resultant_t(dchi) == sylvester_det_oracle(Wrap(chi), Wrap(dchi))
 
     def test_common_root_gives_zero(self):
-        assert (X**2 - 1).resultant(X - 1) == 0
+        assert BiPoly((X**2 - 1).coeffs).resultant_t(BiPoly((X - 1).coeffs)) == 0
+
+
+SQRT2 = NumberField(UniPoly((-2, 0, 1)))
+
+
+class TestPower:
+    @pytest.mark.parametrize(
+        "base, one",
+        [
+            (X - Fraction(3, 2), UniPoly.one()),
+            (parse_bipoly("t^2 - x*t + 1/2"), BiPoly.one()),
+            (SQRT2.element(UniPoly((1, 1))), SQRT2.one()),
+        ],
+        ids=["UniPoly", "BiPoly", "NumberFieldElement"],
+    )
+    def test_power_is_the_repeated_product(self, base, one):
+        product = one
+        for n in range(6):
+            assert base**n == product
+            product = product * base
+        if isinstance(base, NumberFieldElement):
+            assert base**-2 * base**2 == one
+        else:
+            with pytest.raises(ValueError):
+                base**-1
 
 
 class TestSqrt:

@@ -605,19 +605,19 @@ class TestStability:
 
 class TestInvariantLineSearch:
     def test_irreducible_has_none(self):
-        assert invariant_line_search(HiggsPair(E2, THETA, THETA)) is None
+        assert invariant_line_search(HiggsPair(E2, THETA, THETA), curve_of(THETA)) is None
 
     def test_diagonal_found(self):
         diag = TwistedEndo(E2, 1, [[X, 0], [0, X + 1]])
         zero = TwistedEndo(E2, 1, [[0, 0], [0, 0]])
-        line = invariant_line_search(HiggsPair(E2, diag, zero))
+        line = invariant_line_search(HiggsPair(E2, diag, zero), curve_of(diag))
         assert line is not None
         assert line.second_invariant
 
     def test_jordan_block(self):
         jordan = TwistedEndo(E2, 1, [[X, 1], [0, X]])
         zero = TwistedEndo(E2, 1, [[0, 0], [0, 0]])
-        line = invariant_line_search(HiggsPair(E2, jordan, zero))
+        line = invariant_line_search(HiggsPair(E2, jordan, zero), curve_of(jordan))
         assert line is not None
         assert line.vector[1].is_zero()
         assert line.eigenvalue == X
@@ -625,7 +625,7 @@ class TestInvariantLineSearch:
     def test_second_invariance_reported(self):
         diag = TwistedEndo(E2, 1, [[X, 0], [0, X + 1]])
         swap = TwistedEndo(E2, 1, [[0, 1], [1, 0]])
-        line = invariant_line_search(HiggsPair(E2, diag, swap))
+        line = invariant_line_search(HiggsPair(E2, diag, swap), curve_of(diag))
         assert line is not None
         assert not line.second_invariant
 
@@ -633,7 +633,7 @@ class TestInvariantLineSearch:
         bundle = SplitBundle([0, 0, 0])
         zero = TwistedEndo(bundle, 1, [[0] * 3] * 3)
         with pytest.raises(UnsupportedRankError):
-            invariant_line_search(HiggsPair(bundle, zero, zero))
+            invariant_line_search(HiggsPair(bundle, zero, zero), curve_of(zero))
 
     def test_matches_reducibility(self):
         rng = random.Random(17)
@@ -645,10 +645,10 @@ class TestInvariantLineSearch:
             endo = TwistedEndo(E2, 1, entries)
             zero = TwistedEndo(E2, 1, [[0, 0], [0, 0]])
             pair = HiggsPair(E2, endo, zero)
-            line = invariant_line_search(pair)
+            curve = curve_of(endo)
+            line = invariant_line_search(pair, curve)
             from heckehiggs.factor import irreducible_over_function_field
 
-            curve = curve_of(endo)
             reducible = not irreducible_over_function_field(curve.chi)[0]
             assert (line is not None) == reducible
 
