@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedRankError,
     ValidationError,
 )
-from .hecke import HeckeData, make_presentation, validate
+from .hecke import HeckeData, HeckePoint, make_presentation, validate
 from .higgs import (
     HiggsPair,
     check_commutation,
@@ -39,9 +39,10 @@ from .higgs import (
     reconstruct,
 )
 from .linalg import char_poly, mat_identity, mat_mul, solve_right
-from .poly import UniPoly, format_unipoly
+from .poly import UniPoly, format_unipoly, parse_fraction
 from .projline import SplitBundle, TwistedEndo, validate_twisted_endo
 from .serialize import (
+    hecke_from_json,
     hecke_to_json,
     instance_from_json,
     instance_parts_from_json,
@@ -244,8 +245,6 @@ def cmd_spectral(doc: dict, sign: int):
 
 
 def cmd_build(doc: dict, sign: int):
-    from .serialize import hecke_from_json
-
     hecke = hecke_from_json(doc["hecke"]) if "hecke" in doc else None
     if hecke is None:
         raise ParseError("build needs a 'hecke' section")
@@ -289,8 +288,6 @@ def _random_hecke(rng: random.Random):
         while lam == 0:
             lam = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
         points.append((x, lam))
-    from .hecke import HeckePoint
-
     return HeckeData(a, b, [HeckePoint(x, lam) for x, lam in points])
 
 
@@ -510,8 +507,6 @@ def main(argv=None) -> int:
         elif args.command == "build":
             report, code = cmd_build(_load_document(args.document), args.sign)
         elif args.command == "hecke-make":
-            from .poly import parse_fraction
-
             pool = [parse_fraction(v) for v in args.pool.split(",") if v.strip()]
             report, code = cmd_hecke_make(args.c, args.d, args.length, pool, args.seed)
         elif args.command == "selftest":

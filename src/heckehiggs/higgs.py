@@ -177,26 +177,6 @@ def decompose(field: TwistedHiggsField):
     return field.pair.first, field.pair.second
 
 
-def perturb_second_at_point(field: TwistedHiggsField, index: int, delta=1):
-    """A pair differing from the field's only in the second component's value
-    at marked point `index` (used to probe rejection).  Needs the diagonal
-    degree budget to accommodate a bump vanishing at the other points."""
-    data = field.hecke
-    xs = data.marked_xs()
-    if not 0 <= index < len(xs):
-        raise IndexError("marked point index out of range")
-    bump = UniPoly.constant(delta)
-    for j, xj in enumerate(xs):
-        if j != index:
-            bump = bump * UniPoly((-xj, 1))
-    if bump.degree > data.b:
-        raise InfeasibleBudgetError(
-            f"bump degree {bump.degree} exceeds the twist budget {data.b}"
-        )
-    bumped = field.pair.second + endo_scalar(field.pair.bundle, bump, data.b)
-    return HiggsPair(field.pair.bundle, field.pair.first, bumped)
-
-
 def _random_poly(rng: random.Random, degree: int) -> UniPoly:
     if degree < 0:
         return UniPoly.zero()

@@ -14,7 +14,10 @@ shared by ``UniPoly``, ``BiPoly`` and number-field elements.
 All values are immutable and all operations are pure; the text grammar
 (`parse_bipoly` / `format_bipoly`) is the single parse/print format used by
 every other module: terms over ``x`` and ``t``, rational coefficients as
-``p/q`` or integers, ``^`` for powers, e.g. ``"t^2 - 3/2*x*t + 1"``.
+``p/q`` or integers, ``^`` for powers, e.g. ``"t^2 - 3/2*x*t + 1"``.  The
+parser reads each term as a (coefficient, x-exponent, t-exponent) triple and
+sums like terms, so ``"x*t - t*x"`` is 0; it builds the polynomial once and
+takes no polynomial product or power.
 """
 
 from __future__ import annotations
@@ -408,10 +411,6 @@ class BiPoly:
         return cls((UniPoly.constant(c),))
 
     @classmethod
-    def x(cls) -> "BiPoly":
-        return cls((UniPoly.variable(),))
-
-    @classmethod
     def t(cls) -> "BiPoly":
         return cls((UniPoly.zero(), UniPoly.one()))
 
@@ -763,7 +762,11 @@ def _tokenize(text: str):
 
 
 def parse_bipoly(text: str) -> BiPoly:
-    """Parse the shared polynomial grammar into a BiPoly in (x, t)."""
+    """Parse the shared polynomial grammar into a BiPoly in (x, t).
+
+    Each term is read as a (coefficient, x-exponent, t-exponent) triple, like
+    terms are summed by exponent pair, and the BiPoly is built once at the
+    end, so no polynomial product or power is taken."""
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty polynomial text")
@@ -797,23 +800,25 @@ def parse_bipoly(text: str) -> BiPoly:
         take("^")
         return take("num")[1]
 
-    def parse_factor() -> BiPoly:
+    def parse_factor():
         kind = peek()
         if kind == "num":
-            return BiPoly.constant(parse_rational())
+            return parse_rational(), 0, 0
         if kind in ("x", "t"):
             take(kind)
             e = parse_power() if peek() == "^" else 1
-            base = BiPoly.x() if kind == "x" else BiPoly.t()
-            return base**e
+            return (1, e, 0) if kind == "x" else (1, 0, e)
         raise ParseError(f"expected a factor, found {kind!r} in {text!r}")
 
-    def parse_term() -> BiPoly:
-        result = parse_factor()
+    terms = {}
+
+    def add_term(sign: int):
+        c, xe, te = parse_factor()
         while peek() == "*":
             take("*")
-            result = result * parse_factor()
-        return result
+            fc, fxe, fte = parse_factor()
+            c, xe, te = c * fc, xe + fxe, te + fte
+        terms[xe, te] = terms.get((xe, te), 0) + sign * c
 
     sign = 1
     if peek() == "-":
@@ -821,16 +826,23 @@ def parse_bipoly(text: str) -> BiPoly:
         sign = -1
     elif peek() == "+":
         take("+")
-    result = parse_term() * sign
+    add_term(sign)
     while pos < len(tokens):
         op = take()
         if op[0] == "+":
-            result = result + parse_term()
+            add_term(1)
         elif op[0] == "-":
-            result = result - parse_term()
+            add_term(-1)
         else:
             raise ParseError(f"expected '+' or '-', found {op[0]!r} in {text!r}")
-    return result
+    # one dense row of x-coefficients per t-power; the constructors strip the
+    # zero rows and coefficients that cancelled terms leave
+    rows = [{} for _ in range(max(te for _, te in terms) + 1)]
+    for (xe, te), c in terms.items():
+        rows[te][xe] = c
+    return BiPoly(
+        UniPoly([row.get(xe, 0) for xe in range(max(row, default=-1) + 1)]) for row in rows
+    )
 
 
 def parse_unipoly(text: str) -> UniPoly:

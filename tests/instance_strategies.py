@@ -1,5 +1,6 @@
 """Hypothesis strategies for instances: certified ones drawn with
-`random_valid_instance`, and single-entry perturbations of them."""
+`random_valid_instance`, and single-entry perturbations of them; and
+`perturb_second_at_point`, the fixed perturbation the rejection tests use."""
 
 from fractions import Fraction
 
@@ -8,9 +9,9 @@ from hypothesis import assume
 
 from heckehiggs.errors import InfeasibleBudgetError
 from heckehiggs.hecke import HeckeData, HeckePoint
-from heckehiggs.higgs import HiggsPair, random_valid_instance
+from heckehiggs.higgs import HiggsPair, TwistedHiggsField, random_valid_instance
 from heckehiggs.poly import UniPoly
-from heckehiggs.projline import SplitBundle, TwistedEndo
+from heckehiggs.projline import SplitBundle, TwistedEndo, endo_scalar
 
 BUNDLES = ((0, 0), (1, 0), (0, 0, 0), (1, 0, 0))
 SCALARS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2), Fraction(3))
@@ -70,3 +71,23 @@ def instances(draw):
     if kind == "first":
         return hecke, HiggsPair(pair.bundle, bumped, pair.second)
     return hecke, HiggsPair(pair.bundle, pair.first, bumped)
+
+
+def perturb_second_at_point(field: TwistedHiggsField, index: int, delta=1):
+    """A pair differing from the field's only in the second component's value
+    at marked point `index` (used to probe rejection).  Needs the diagonal
+    degree budget to accommodate a bump vanishing at the other points."""
+    data = field.hecke
+    xs = data.marked_xs()
+    if not 0 <= index < len(xs):
+        raise IndexError("marked point index out of range")
+    bump = UniPoly.constant(delta)
+    for j, xj in enumerate(xs):
+        if j != index:
+            bump = bump * UniPoly((-xj, 1))
+    if bump.degree > data.b:
+        raise InfeasibleBudgetError(
+            f"bump degree {bump.degree} exceeds the twist budget {data.b}"
+        )
+    bumped = field.pair.second + endo_scalar(field.pair.bundle, bump, data.b)
+    return HiggsPair(field.pair.bundle, field.pair.first, bumped)

@@ -16,7 +16,6 @@ from heckehiggs.hecke import HeckeData, HeckePoint, make_presentation, splitting
 from heckehiggs.higgs import (
     HiggsPair,
     decompose,
-    perturb_second_at_point,
     random_valid_instance,
     reconstruct,
 )
@@ -37,6 +36,7 @@ from heckehiggs.spectral import (
     invariant_line_search,
     is_integral,
 )
+from instance_strategies import perturb_second_at_point
 
 F = Fraction
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")

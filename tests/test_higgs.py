@@ -16,12 +16,12 @@ from heckehiggs.higgs import (
     check_fiber_condition,
     commutator,
     decompose,
-    perturb_second_at_point,
     random_valid_instance,
     reconstruct,
 )
 from heckehiggs.poly import UniPoly
 from heckehiggs.projline import SplitBundle, TwistedEndo, evaluate_endo
+from instance_strategies import perturb_second_at_point
 
 X = UniPoly.variable()
 F = Fraction

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from heckehiggs import poly
 from heckehiggs.errors import ParseError
 from heckehiggs.numfield import NumberField, NumberFieldElement
 from heckehiggs.poly import (
@@ -253,6 +254,30 @@ class TestRationalFunction:
             RationalFunction(UniPoly.one(), X).evaluate(0)
 
 
+# a factor of the grammar: a non-negative rational, or x or t with an optional
+# exponent (0 included); a term is a product of one to four factors in any order
+factors = st.one_of(
+    st.fractions(min_value=0, max_value=5, max_denominator=3).map(lambda c: ("num", c)),
+    st.tuples(st.sampled_from("xt"), st.none() | st.integers(0, 3)),
+)
+terms = st.tuples(st.sampled_from("+-"), st.lists(factors, min_size=1, max_size=4))
+
+
+def _factor_text(factor):
+    kind, value = factor
+    if kind == "num":
+        return str(value)
+    return kind if value is None else f"{kind}^{value}"
+
+
+def _factor_value(factor):
+    kind, value = factor
+    if kind == "num":
+        return BiPoly.constant(value)
+    base = BiPoly.from_unipoly(X) if kind == "x" else BiPoly.t()
+    return base ** (1 if value is None else value)
+
+
 class TestGrammar:
     @pytest.mark.parametrize(
         "text",
@@ -276,3 +301,72 @@ class TestGrammar:
     @given(unipolys(4))
     def test_format_parse_identity(self, p):
         assert parse_unipoly(format_unipoly(p)) == p
+
+    @given(
+        st.sampled_from(("", "+", "-")),
+        st.lists(terms, min_size=1, max_size=6),
+        st.booleans(),
+    )
+    def test_parse_is_sum_of_terms(self, lead, term_list, cancel):
+        """parse_bipoly agrees with BiPoly arithmetic on the same terms: like
+        terms combine, and with `cancel` the first term is also subtracted."""
+        signed = [(lead or "+", term_list[0][1])] + term_list[1:]
+        if cancel:
+            signed.append(("+" if signed[0][0] == "-" else "-", signed[0][1]))
+        bodies = ["*".join(map(_factor_text, factors)) for _, factors in signed]
+        text = lead + bodies[0]
+        for (sign, _), body in zip(signed[1:], bodies[1:]):
+            text += f" {sign} {body}"
+        expected = BiPoly.zero()
+        for sign, factors in signed:
+            product = BiPoly.one()
+            for factor in factors:
+                product = product * _factor_value(factor)
+            expected = expected + product if sign == "+" else expected - product
+        assert parse_bipoly(text) == expected
+
+    def test_like_terms_cancel(self):
+        assert parse_bipoly("x*t - t*x") == BiPoly.zero()
+        assert parse_unipoly("t - t + x") == X
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("", "empty polynomial text"),
+            ("   ", "empty polynomial text"),
+            ("y", "unexpected character 'y' in 'y'"),
+            ("t^", "unexpected end of input in 't^'"),
+            ("t^^2", "expected 'num', found '^' in 't^^2'"),
+            ("1//2", "expected 'num', found '/' in '1//2'"),
+            ("1/0", "zero denominator"),
+            ("x+*3", "expected a factor, found '*' in 'x+*3'"),
+            ("x-", "expected a factor, found None in 'x-'"),
+            ("^2", "expected a factor, found '^' in '^2'"),
+            ("x t", "expected '+' or '-', found 't' in 'x t'"),
+            ("3/4/5", "expected '+' or '-', found '/' in '3/4/5'"),
+        ],
+    )
+    def test_error_text(self, bad, message):
+        with pytest.raises(ParseError) as err:
+            parse_bipoly(bad)
+        assert str(err.value) == message
+
+    def test_parse_takes_no_products(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(UniPoly, "__mul__", counted("UniPoly.__mul__", UniPoly.__mul__))
+        monkeypatch.setattr(BiPoly, "__mul__", counted("BiPoly.__mul__", BiPoly.__mul__))
+        monkeypatch.setattr(poly, "_power", counted("_power", poly._power))
+        bi = parse_bipoly("3/2*x^40*t^3 - x*t + 7")
+        uni = parse_unipoly("x^40 - 2*x*x + 1/3")
+        assert calls == []
+        assert bi == BiPoly([7, -X, 0, UniPoly.monomial(40, Fraction(3, 2))])
+        assert uni == X**40 - 2 * X**2 + Fraction(1, 3)
+        assert calls  # the counters see the products the check above takes
