@@ -20,7 +20,12 @@ function field Q(x).  A specialization at a rational point is used as a
 sound fast path (an irreducible specialization proves irreducibility; a
 reducible one proves nothing), then candidate factors are reconstructed by
 lifting a coprime factorization of the specialization coefficient by
-coefficient and verified by exact division.
+coefficient and verified by exact division.  The point x0 is the first of
+0, -1, 1, -2, 2, ... where chi(x0, t) is squarefree.  As chi is monic in t,
+those are the points where its discriminant along t does not vanish, and that
+discriminant has x-degree at most (2r - 1) * deg_x chi for t-degree r; so
+when that many points plus one all fail, the discriminant is zero and chi has
+a repeated factor.  The discriminant itself is never computed.
 """
 
 from __future__ import annotations
@@ -31,7 +36,14 @@ from itertools import combinations, count, zip_longest
 from math import gcd, isqrt, lcm
 
 from .errors import ValidationError
-from .poly import BiPoly, UniPoly, _fraction_sqrt, format_bipoly, format_unipoly
+from .poly import (
+    BiPoly,
+    UniPoly,
+    _fraction_sqrt,
+    bipoly_gcd_t,
+    format_bipoly,
+    format_unipoly,
+)
 
 # Primes tried before a polynomial squarefree modulo none of them is handed to
 # Yun's decomposition; 2 is left out, so equal-degree splitting can use
@@ -440,22 +452,17 @@ def irreducible_over_function_field(chi: BiPoly):
     if r == 1:
         return True, {"kind": "linear", "witness": "degree 1 in t"}
 
-    disc = chi.resultant_t(chi.derivative_t())
-    if disc.is_zero():
+    # chi(x0, t) is squarefree exactly where disc_t(chi) is nonzero, and that
+    # discriminant has x-degree at most (2r - 1) * deg_x chi.
+    for k in range((2 * r - 1) * chi.x_degree + 1):
+        alpha = Fraction((k + 1) // 2 * (1 if k % 2 == 0 else -1))
+        spec = chi.at_x(alpha)
+        if spec.gcd(spec.derivative()).degree == 0:
+            break
+    else:
         # repeated factor over Q(x); the gcd with the t-derivative is proper
-        from .poly import bipoly_gcd_t
-
         g = bipoly_gcd_t(chi, chi.derivative_t())
         return False, {"kind": "repeated_factor", "factor": format_bipoly(g)}
-
-    alpha = None
-    k = 0
-    while alpha is None:
-        cand = Fraction((k + 1) // 2 * (1 if k % 2 == 0 else -1))
-        k += 1
-        if disc.evaluate(cand) != 0:
-            alpha = cand
-    spec = chi.at_x(alpha)
     _, spec_factors = factor_rationals(spec)
     irt = [f for f, _ in spec_factors]
     if len(irt) == 1 and irt[0].degree == r:

@@ -6,10 +6,10 @@ coefficients along powers of a second variable ``t``, so a bivariate
 polynomial chi(x, t) is stored as its list of t-coefficients.
 ``RationalFunction`` is the fraction field of ``UniPoly``; its one user is
 ``bipoly_gcd_t``, the Euclidean gcd in t over the function field.
-Resultants are taken along t only (``BiPoly.resultant_t``): a Sylvester
-determinant over Q[x] by fraction-free elimination (``_det_unipoly``, which
-the commutant solve also uses).  ``_power`` is the one repeated-squaring loop,
-shared by ``UniPoly``, ``BiPoly`` and number-field elements.
+``_det_unipoly`` is a determinant over Q[x] by fraction-free elimination,
+for the commutant solve's Krylov system.  ``_power`` is the one
+repeated-squaring loop, shared by ``UniPoly``, ``BiPoly`` and number-field
+elements.
 
 All values are immutable and all operations are pure; the text grammar
 (`parse_bipoly` / `format_bipoly`) is the single parse/print format used by
@@ -23,6 +23,7 @@ takes no polynomial product or power.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Sequence
 
 from .errors import ParseError
@@ -308,47 +309,11 @@ def _fraction_sqrt(c: Fraction):
         return None
     if c == 0:
         return Fraction(0)
-    from math import isqrt
-
     n, d = c.numerator, c.denominator
     rn, rd = isqrt(n), isqrt(d)
     if rn * rn == n and rd * rd == d:
         return Fraction(rn, rd)
     return None
-
-
-def _sylvester(p: list, q: list):
-    """Sylvester matrix rows for polynomials over Q[x] given by ascending
-    coefficients, padded with the zero polynomial.
-
-    Returns None when either polynomial is zero (resultant 0 by convention),
-    and [] when both are nonzero constants (empty 0x0 matrix, determinant 1).
-    """
-    while p and p[-1] == 0:
-        p.pop()
-    while q and q[-1] == 0:
-        q.pop()
-    if not p or not q:
-        return None
-    m, n = len(p) - 1, len(q) - 1
-    size = m + n
-    if size == 0:
-        return []
-    zero = UniPoly.zero()
-    rows = []
-    pdesc = list(reversed(p))
-    qdesc = list(reversed(q))
-    for k in range(n):
-        row = [zero] * size
-        for j, c in enumerate(pdesc):
-            row[k + j] = c
-        rows.append(row)
-    for k in range(m):
-        row = [zero] * size
-        for j, c in enumerate(qdesc):
-            row[k + j] = c
-        rows.append(row)
-    return rows
 
 
 def _det_unipoly(rows) -> UniPoly:
@@ -560,11 +525,6 @@ class BiPoly:
 
     def shift_x(self, offset) -> "BiPoly":
         return BiPoly(tuple(c.shift(offset) for c in self.tcoeffs))
-
-    def resultant_t(self, other: "BiPoly") -> UniPoly:
-        """Resultant along t, an element of Q[x] (Sylvester determinant)."""
-        rows = _sylvester(list(self.tcoeffs), list(self._coerce(other).tcoeffs))
-        return UniPoly.zero() if rows is None else _det_unipoly(rows)
 
 
 class RationalFunction:

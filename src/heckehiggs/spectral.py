@@ -159,9 +159,11 @@ def is_integral(curve: SpectralCurve):
     """Reduced and irreducible over Q(x), with a certificate.
 
     Irreducibility is certified over the rational function field, and its
-    discriminant test doubles as the squarefree test; a best-effort warning
-    flags curves that factor over a constant quadratic extension (geometric
-    reducibility) without affecting the verdict.
+    search for a squarefree specialization doubles as the squarefree test:
+    chi is reduced exactly when one of its first (2r - 1) * deg_x chi + 1
+    specializations is squarefree.  A best-effort warning flags curves that
+    factor over a constant quadratic extension (geometric reducibility)
+    without affecting the verdict.
     """
     verdict, witness = irreducible_over_function_field(curve.chi)
     if witness["kind"] == "repeated_factor":

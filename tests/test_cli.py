@@ -16,7 +16,6 @@ import heckehiggs.spectral as spectral_module
 from heckehiggs.cli import _SAMPLE_POINTS, cmd_check, main
 from heckehiggs.hecke import make_presentation
 from heckehiggs.higgs import check_commutation, check_fiber_condition
-from heckehiggs.poly import BiPoly
 from heckehiggs.serialize import instance_to_json
 from heckehiggs.spectral import curve_of, eigenspace_invariance, eigenvalue_condition
 from instance_strategies import instances
@@ -519,10 +518,11 @@ class TestFailureContract:
 
 
 class TestComputeOnce:
-    """Each command derives the spectral curve, its discriminant and the
-    commutator at most once; a passing `build` factors no fiber, and the
-    commutant solve runs no linear solve over Q(x).  Counted: char_poly,
-    resultant_t, commutator, and spectral's fiber_points and solve_right."""
+    """Each command derives the spectral curve, certifies its integrality and
+    forms the commutator at most once; a passing `build` factors no fiber,
+    and the commutant solve runs no linear solve over Q(x).  Counted:
+    char_poly, irreducible_over_function_field, commutator, and spectral's
+    fiber_points and solve_right."""
 
     @pytest.mark.parametrize(
         "command, expected",
@@ -544,15 +544,10 @@ class TestComputeOnce:
             return wrapper
 
         monkeypatch.setattr(
-            spectral_module, "char_poly", counting("char_poly", spectral_module.char_poly)
-        )
-        monkeypatch.setattr(
-            BiPoly, "resultant_t", counting("resultant", BiPoly.resultant_t)
-        )
-        monkeypatch.setattr(
             higgs_module, "commutator", counting("commutator", higgs_module.commutator)
         )
-        for name in ("fiber_points", "solve_right"):
+        counted = ("char_poly", "irreducible_over_function_field", "fiber_points", "solve_right")
+        for name in counted:
             monkeypatch.setattr(
                 spectral_module, name, counting(name, getattr(spectral_module, name))
             )
@@ -561,7 +556,13 @@ class TestComputeOnce:
             path = write_doc(tmp_path, _golden_build_doc())
         assert main(["--no-timing", command, path]) == 0
         capsys.readouterr()
-        names = ("char_poly", "resultant", "commutator", "fiber_points", "solve_right")
+        names = (
+            "char_poly",
+            "irreducible_over_function_field",
+            "commutator",
+            "fiber_points",
+            "solve_right",
+        )
         assert tuple(counts[name] for name in names) == expected
 
     def test_selftest_certifies_each_curve_once(self, monkeypatch, capsys):

@@ -13,7 +13,8 @@ from heckehiggs.factor import (
     is_irreducible_rational,
     rational_roots,
 )
-from heckehiggs.poly import UniPoly, parse_bipoly, parse_unipoly
+from heckehiggs.poly import BiPoly, UniPoly, parse_bipoly, parse_unipoly
+from test_poly import sylvester_det_oracle
 
 X = UniPoly.variable()
 
@@ -217,6 +218,91 @@ class TestSquarefreeOverFunctionField:
             assert verdict is False
             assert cert["kind"] == "repeated_factor"
             assert parse_bipoly(cert["factor"]) == parse_bipoly(factor)
+
+
+def walk_points():
+    """0, -1, 1, -2, 2, ...: the points x0 the specialization walk visits."""
+    k = 0
+    while True:
+        yield Fraction((k + 1) // 2 * (1 if k % 2 == 0 else -1))
+        k += 1
+
+
+def probed_points(chi):
+    """irreducible_over_function_field(chi) with the points x0 it specializes
+    chi at, in order."""
+    probes = []
+    at_x = BiPoly.at_x
+
+    def recording(self, x0):
+        probes.append(x0)
+        return at_x(self, x0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BiPoly, "at_x", recording)
+        verdict, cert = irreducible_over_function_field(chi)
+    return verdict, cert, probes
+
+
+@st.composite
+def monic_in_t(draw):
+    """A monic chi of t-degree 2-4 with coefficients of x-degree at most 2;
+    about half of them carry a squared factor."""
+    coeff = st.lists(st.integers(-3, 3), max_size=3).map(UniPoly)
+
+    def monic(degree):
+        return BiPoly(tuple(draw(coeff) for _ in range(degree)) + (UniPoly.one(),))
+
+    r = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        g = monic(draw(st.integers(1, r // 2)))
+        return g * g * monic(r - 2 * g.t_degree)
+    return monic(r)
+
+
+class TestSpecializationWalk:
+    # x0 is the first walk point where the discriminant along t, computed
+    # here by the Laplace oracle, does not vanish
+    @settings(max_examples=40, deadline=None)
+    @given(monic_in_t())
+    def test_first_point_off_the_discriminant(self, chi):
+        dchi = chi.derivative_t()
+        disc = sylvester_det_oracle(chi.tcoeffs, dchi.tcoeffs)
+        verdict, cert, probes = probed_points(chi)
+        if disc == 0:
+            assert cert["kind"] == "repeated_factor"
+            assert verdict is False
+            assert len(probes) == (2 * chi.t_degree - 1) * chi.x_degree + 1
+            return
+        assert cert["kind"] != "repeated_factor"
+        expected = next(x0 for x0 in walk_points() if disc.evaluate(x0) != 0)
+        assert probes[-1] == expected
+        assert probes == [x0 for x0, _ in zip(walk_points(), probes)]
+        if "x0" in cert:
+            assert cert["x0"] == str(expected)
+
+    def test_skips_the_discriminant_roots(self):
+        # disc = 4 x^2 (x + 1) vanishes at 0 and -1
+        verdict, cert, probes = probed_points(parse_bipoly("t^2 - x^3 - x^2"))
+        assert verdict is True
+        assert cert["kind"] == "irreducible_specialization"
+        assert cert["x0"] == "1"
+        assert probes == [0, -1, 1]
+
+    def test_constant_in_x_takes_one_probe(self):
+        verdict, cert, probes = probed_points(parse_bipoly("t^2"))
+        assert verdict is False
+        assert cert == {"kind": "repeated_factor", "factor": "t"}
+        assert len(probes) == 1
+
+    def test_repeated_factor_after_the_degree_bound(self):
+        # (2r - 1) * deg_x chi + 1 = (2*3 - 1) * 2 + 1 probes
+        chi = parse_bipoly("t - x") ** 2 * parse_bipoly("t + 1")
+        verdict, cert, probes = probed_points(chi)
+        assert verdict is False
+        assert cert["kind"] == "repeated_factor"
+        assert parse_bipoly(cert["factor"]) == parse_bipoly("t - x")
+        assert len(probes) == 11
 
 
 class TestGeometricWarning:
