@@ -21,7 +21,6 @@ from .errors import (
 from .hecke import (
     HeckeData,
     HeckePoint,
-    SplittingType,
     h0_of_twist,
     make_presentation,
     splitting_type,
@@ -47,23 +46,17 @@ from .poly import (
     parse_unipoly,
 )
 from .projline import (
-    LineBundle,
-    Section,
     SplitBundle,
     TwistedEndo,
     evaluate_endo,
-    h0,
     validate_twisted_endo,
 )
 from .spectral import (
-    CharData,
     SpectralCurve,
     SpectralData,
     SpectralFiberPoint,
     backward_correspondence,
-    build_spectral_curve,
     certify_stability,
-    char_coefficients,
     commutant_coordinates,
     eigenspace_invariance,
     eigenvalue_condition,

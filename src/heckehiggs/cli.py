@@ -38,7 +38,7 @@ from .higgs import (
     random_valid_instance,
     reconstruct,
 )
-from .linalg import char_poly, mat_identity, mat_mul, solve_right
+from .linalg import mat_identity, mat_mul, solve_right
 from .poly import UniPoly, format_unipoly, parse_fraction
 from .projline import SplitBundle, TwistedEndo, validate_twisted_endo
 from .serialize import (
@@ -55,8 +55,6 @@ from .spectral import (
     EigenvalueVerdict,
     backward_correspondence,
     backward_on_curve,
-    build_spectral_curve,
-    char_coefficients,
     curve_of,
     eigenspace_invariance,
     eigenvalue_condition,
@@ -221,9 +219,8 @@ def cmd_reconstruct(doc: dict, sign: int):
 def cmd_spectral(doc: dict, sign: int):
     hecke, pair, _ = instance_from_json(doc)
     report = {"command": "spectral", "version": __version__, "sign": sign}
-    data = char_coefficients(pair.first)
-    report["char_coefficients"] = [format_unipoly(s.poly) for s in data.sections]
-    curve = build_spectral_curve(data)
+    curve = curve_of(pair.first)
+    report["char_coefficients"] = [format_unipoly(s) for s in curve.char_coefficients]
     report["curve"] = spectral_curve_to_json(curve)
     integral, certificate = is_integral(curve)
     report["integral"] = integral
@@ -351,14 +348,10 @@ def _selftest_single(field, rng: random.Random, sign: int):
     if not ok:
         return "certified instance fails the fiber condition"
 
-    char_data = char_coefficients(pair.first)
-    chart = build_spectral_curve(char_data)
+    chart = curve_of(pair.first)
     eig_ok, _ = eigenvalue_condition(pair, chart, data, sign)
     if not eig_ok:
         return f"eigenvalue condition fails with sign {sign:+d}"
-
-    if chart.chi != char_poly(pair.first.entries):
-        return "spectral display disagrees with the characteristic polynomial"
 
     for _ in range(10):
         x0 = Fraction(rng.randint(-6, 6), rng.randint(1, 2))
@@ -370,7 +363,7 @@ def _selftest_single(field, rng: random.Random, sign: int):
         total = Fraction(0)
         for point in fiber_points(chart, x0):
             total += point.multiplicity * point.y.trace()
-        if total != char_data.sections[0].poly.evaluate(x0):
+        if total != chart.char_coefficients[0].evaluate(x0):
             return f"fiber trace identity fails at x = {x0}"
 
     scale = Fraction(rng.randint(1, 3), rng.randint(1, 2))
@@ -389,7 +382,7 @@ def _selftest_single(field, rng: random.Random, sign: int):
         ok, _ = check_fiber_condition(conj, data)
         if not ok:
             return "fiber condition is not conjugation invariant"
-        if char_coefficients(conj.first).sections != char_data.sections:
+        if curve_of(conj.first).chi != chart.chi:
             return "characteristic coefficients are not conjugation invariant"
 
     integral, _ = is_integral(chart)

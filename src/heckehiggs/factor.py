@@ -382,7 +382,8 @@ def is_irreducible_rational(p: UniPoly) -> bool:
 
 
 def _monic_divisors(factors, degree):
-    """Monic divisors of a squarefree factorization with the given degree."""
+    """Monic divisors with the given degree of the product of `factors`,
+    distinct monic irreducibles, so that no two subsets give one divisor."""
     out = []
 
     def recurse(idx, current):
@@ -395,13 +396,7 @@ def _monic_divisors(factors, degree):
         recurse(idx + 1, current * factors[idx])
 
     recurse(0, UniPoly.one())
-    seen = set()
-    unique = []
-    for g in out:
-        if g.coeffs not in seen:
-            seen.add(g.coeffs)
-            unique.append(g)
-    return unique
+    return out
 
 
 def _hensel_lift(chi_shifted: BiPoly, g0: UniPoly, h0: UniPoly, precision: int):
@@ -482,16 +477,15 @@ def irreducible_over_function_field(chi: BiPoly):
         for g0 in _monic_divisors(irt, d):
             h0 = spec.exact_div(g0)
             g_rows = _hensel_lift(shifted, g0, h0, precision)
+            # g0 is monic of degree d and each correction has degree < d, so
+            # cand is monic of degree d
             cand = BiPoly(
                 tuple(
                     UniPoly(tuple(g_rows[m].coeff(j) for m in range(precision)))
                     for j in range(d + 1)
                 )
             ).shift_x(-alpha)
-            if cand.t_degree != d:
-                continue
-            q, rem = chi.divmod_t(cand)
-            if rem.is_zero() and q.t_degree == r - d:
+            if chi.divmod_t(cand)[1].is_zero():
                 return False, {"kind": "factor", "factor": format_bipoly(cand)}
     return True, {
         "kind": "exhausted_search",

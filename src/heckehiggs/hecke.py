@@ -35,21 +35,6 @@ class HeckePoint:
         object.__setattr__(self, "scale", Fraction(self.scale))
 
 
-@dataclass(frozen=True)
-class SplittingType:
-    """Twists (c, d), c >= d, of a rank-2 bundle on the projective line."""
-
-    c: int
-    d: int
-
-    def __post_init__(self):
-        if self.c < self.d:
-            raise ValidationError("splitting type must satisfy c >= d")
-
-    def as_tuple(self):
-        return (self.c, self.d)
-
-
 class HeckeData:
     """Degrees (a, b) of the ambient summands plus the marked points."""
 
@@ -138,7 +123,7 @@ def h0_of_twist(data: HeckeData, n: int) -> int:
     return alpha + beta - mat_rank(tuple(rows))
 
 
-def splitting_type(data: HeckeData) -> SplittingType:
+def splitting_type(data: HeckeData) -> tuple:
     """Recover the splitting of the presented bundle from its h^0 jumps.
 
     The unique (c, d) with c >= d and c + d = kernel degree whose profile
@@ -167,7 +152,7 @@ def splitting_type(data: HeckeData) -> SplittingType:
             raise ValidationError(
                 f"section profile mismatch at twist {m} (internal error)"
             )
-    return SplittingType(c, d)
+    return c, d
 
 
 def _random_fraction(rng: random.Random, zero_ok: bool = True) -> Fraction:
@@ -234,7 +219,7 @@ def make_presentation(
         a, b = c + length, d
         lams = [_random_fraction(rng, zero_ok=False) for _ in xs]
         data = HeckeData(a, b, [HeckePoint(x, lam) for x, lam in zip(xs, lams)])
-        if splitting_type(data).as_tuple() != (c, d):
+        if splitting_type(data) != (c, d):
             raise ValidationError(
                 "unbalanced presentation missed its target (internal error)"
             )
@@ -248,7 +233,7 @@ def make_presentation(
             continue
         lams = [g.evaluate(x) / f.evaluate(x) for x in xs]
         data = HeckeData(a, b, [HeckePoint(x, lam) for x, lam in zip(xs, lams)])
-        if splitting_type(data).as_tuple() == target:
+        if splitting_type(data) == target:
             return data
     raise RetryExhaustedError(
         f"could not realize splitting ({c}, {d}) with {length} points "

@@ -1,5 +1,5 @@
-"""The projective line: line bundles, split vector bundles and twisted
-endomorphisms, all in a single affine chart with coordinate x.
+"""The projective line: split vector bundles and twisted endomorphisms, all
+in a single affine chart with coordinate x.
 
 Sections of O(n) are polynomials of degree <= n in the chart; marked points
 are required to lie in the chart, so fiber trivializations of every O(n)
@@ -14,38 +14,6 @@ from fractions import Fraction
 from .errors import ValidationError
 from .linalg import mat_mul
 from .poly import UniPoly, format_unipoly
-
-
-@dataclass(frozen=True)
-class LineBundle:
-    """O(degree) on the projective line."""
-
-    degree: int
-
-
-def h0(bundle) -> int:
-    """Dimension of the space of global sections of O(n): max(n+1, 0)."""
-    n = bundle.degree if isinstance(bundle, LineBundle) else int(bundle)
-    return max(n + 1, 0)
-
-
-@dataclass(frozen=True)
-class Section:
-    """A global section of a line bundle, as its chart polynomial."""
-
-    bundle: LineBundle
-    poly: UniPoly
-
-    def __post_init__(self):
-        if self.poly.is_zero():
-            return
-        n = self.bundle.degree
-        if n < 0:
-            raise ValidationError(f"O({n}) has no nonzero sections")
-        if self.poly.degree > n:
-            raise ValidationError(
-                f"degree {self.poly.degree} section does not fit in O({n})"
-            )
 
 
 class SplitBundle:

@@ -35,7 +35,7 @@ def _need(obj: dict, key: str, where: str, kind: type = object):
         raise ParseError(f"{where} must be a JSON object")
     if key not in obj:
         raise ParseError(f"{where} is missing key {key!r}")
-    if not isinstance(obj[key], kind):
+    if not isinstance(obj[key], kind) or (kind is int and isinstance(obj[key], bool)):
         raise ParseError(f"{where} key {key!r} must be of JSON type {kind.__name__}")
     return obj[key]
 
@@ -68,7 +68,7 @@ def split_bundle_to_json(bundle: SplitBundle) -> dict:
 
 def split_bundle_from_json(obj: dict) -> SplitBundle:
     twists = _need(obj, "twists", "bundle", list)
-    if not all(isinstance(t, int) for t in twists):
+    if not all(isinstance(t, int) and not isinstance(t, bool) for t in twists):
         raise ParseError("bundle twists must be a list of integers")
     return SplitBundle(twists)
 

@@ -1,13 +1,14 @@
-"""Spectral construction: characteristic data, the spectral curve, fiberwise
-eigen-analysis, the correspondence in both directions, and the stability
-certificate.
+"""Spectral construction: the spectral curve, fiberwise eigen-analysis,
+the correspondence in both directions, and the stability certificate.
 
-The first component of a pair determines characteristic coefficients
-s_i (sections of O(i*a)) and the plane curve
+The spectral curve of the first component M of a pair is its characteristic
+polynomial
 
-    chi(x, t)  =  t^r - s_1 t^(r-1) + ... + (-1)^r s_r  =  0
+    chi(x, t)  =  det(tI - M)  =  t^r - s_1 t^(r-1) + ... + (-1)^r s_r,
 
-inside the total space of O(a).  When chi is integral (squarefree and
+a plane curve inside the total space of O(a); the characteristic
+coefficients s_i (the traces of the exterior powers of M, sections of
+O(i*a)) are read off chi.  When chi is integral (squarefree and
 irreducible over Q(x)) the pair is equivalent to rank-1 data on the curve:
 the multiplier psi expressing the second component as a function-field
 polynomial in the first.  The backward direction realizes the structure
@@ -57,8 +58,6 @@ from .poly import (
     format_unipoly,
 )
 from .projline import (
-    LineBundle,
-    Section,
     SplitBundle,
     TwistedEndo,
     endo_scalar,
@@ -66,18 +65,6 @@ from .projline import (
     require_valid_endo,
     validate_twisted_endo,
 )
-
-
-@dataclass(frozen=True)
-class CharData:
-    """Characteristic coefficients s_1..s_r; s_i is a section of O(i*a)."""
-
-    a: int
-    sections: tuple
-
-    @property
-    def rank(self) -> int:
-        return len(self.sections)
 
 
 @dataclass(frozen=True)
@@ -92,17 +79,25 @@ class SpectralCurve:
         if self.chi.t_degree != self.r or not self.chi.is_monic_in_t():
             raise ValidationError("curve polynomial must be monic in t of degree r")
         for i in range(1, self.r + 1):
-            if self.chi.tcoeff(self.r - i).degree > i * self.a:
+            coeff = self.chi.tcoeff(self.r - i)
+            if not coeff.is_zero() and coeff.degree > i * self.a:
                 raise ValidationError(
                     f"t^{self.r - i} coefficient exceeds its x-degree bound {i * self.a}"
                 )
+
+    @property
+    def char_coefficients(self) -> tuple:
+        """s_1..s_r: s_i is (-1)^i times the t^(r-i) coefficient of chi."""
+        return tuple(
+            -self.chi.tcoeff(self.r - i) if i % 2 else self.chi.tcoeff(self.r - i)
+            for i in range(1, self.r + 1)
+        )
 
 
 @dataclass(frozen=True)
 class SpectralFiberPoint:
     """One conjugate class of points of the curve above a rational base point."""
 
-    base_x: Fraction
     field: NumberField
     y: NumberFieldElement
     multiplicity: int
@@ -125,34 +120,10 @@ class SpectralData:
             raise ValidationError("zero multiplier denominator")
 
 
-def char_coefficients(endo: TwistedEndo) -> CharData:
-    """s_i = (-1)^i times the t^(r-i) coefficient of det(tI - M); equals the
-    trace of the i-th exterior power."""
-    require_valid_endo(endo, "twisted endomorphism")
-    cp = char_poly(endo.entries)
-    r = endo.rank
-    a = endo.twist
-    sections = []
-    for i in range(1, r + 1):
-        s = cp.tcoeff(r - i)
-        if i % 2 == 1:
-            s = -s
-        sections.append(Section(LineBundle(i * a), s))
-    return CharData(a, tuple(sections))
-
-
-def build_spectral_curve(data: CharData) -> SpectralCurve:
-    """t^r - s_1 t^(r-1) + ... + (-1)^r s_r."""
-    r = data.rank
-    tcoeffs = [UniPoly.zero()] * (r + 1)
-    tcoeffs[r] = UniPoly.one()
-    for i, section in enumerate(data.sections, start=1):
-        tcoeffs[r - i] = section.poly if i % 2 == 0 else -section.poly
-    return SpectralCurve(BiPoly(tuple(tcoeffs)), data.a, r)
-
-
 def curve_of(endo: TwistedEndo) -> SpectralCurve:
-    return build_spectral_curve(char_coefficients(endo))
+    """The spectral curve det(tI - M) of a valid twisted endomorphism M."""
+    require_valid_endo(endo, "twisted endomorphism")
+    return SpectralCurve(char_poly(endo.entries), endo.twist, endo.rank)
 
 
 def is_integral(curve: SpectralCurve):
@@ -206,9 +177,7 @@ def fiber_points(curve: SpectralCurve, x0) -> list:
     total = 0
     for minimal, mult in factors:
         field = NumberField(minimal, trusted=True)
-        points.append(
-            SpectralFiberPoint(x0, field, field.generator(), mult)
-        )
+        points.append(SpectralFiberPoint(field, field.generator(), mult))
         total += mult * minimal.degree
     if total != curve.r:
         raise ValidationError("fiber multiplicities do not sum to the rank")

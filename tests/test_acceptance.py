@@ -26,9 +26,7 @@ from heckehiggs.spectral import (
     SpectralCurve,
     SpectralData,
     backward_correspondence,
-    build_spectral_curve,
     certify_stability,
-    char_coefficients,
     curve_of,
     eigenvalue_condition,
     fiber_points,
@@ -245,7 +243,7 @@ class TestCriterion4DisplayConsistency:
                 for _ in range(r)
             ]
             endo = TwistedEndo(bundle, 2, entries)
-            display = build_spectral_curve(char_coefficients(endo)).chi
+            display = curve_of(endo).chi
             assert display == char_poly(endo.entries)
             assert display == cofactor_char_poly(endo.entries)
         report(
@@ -439,9 +437,8 @@ class TestCriterion7HeckeBookkeeping:
             minimum = max(1, c - d - 1)
             length = rng.randint(minimum, minimum + 2)
             data = make_presentation(c, d, length, pool, rng_seed=trial)
-            st = splitting_type(data)
-            assert st.as_tuple() == (c, d)
-            assert st.c + st.d == data.a + data.b - data.length
+            assert splitting_type(data) == (c, d)
+            assert c + d == data.a + data.b - data.length
             hit += 1
         report(
             f"PASS criterion 7: make_presentation hit {hit}/100 seeded "

@@ -142,6 +142,41 @@ class TestSpectralCommand:
         assert report["certificate"]["squarefree"] is False
 
 
+# Theta = 0 with twist -1: chi = t^2, whose zero coefficients meet the
+# negative bounds -1 and -2
+NEGATIVE_TWIST = {
+    "hecke": {"S": -1, "L": 0, "points": []},
+    "E": {"twists": [0, 0]},
+    "Theta": {"twist": -1, "entries": [["0", "0"], ["0", "0"]]},
+    "ThetaPrime": {"twist": 0, "entries": [["1", "0"], ["0", "1"]]},
+}
+
+
+class TestNegativeTwistCurve:
+    def test_check_passes(self, tmp_path, capsys):
+        code, report, _ = run(capsys, "--no-timing", "check", write_doc(tmp_path, NEGATIVE_TWIST))
+        assert code == 0
+        assert all(report["verdicts"].values())
+
+    def test_spectral_finds_the_repeated_factor(self, tmp_path, capsys):
+        path = write_doc(tmp_path, NEGATIVE_TWIST)
+        code, report, _ = run(capsys, "--no-timing", "spectral", path)
+        assert code == 1
+        assert report["curve"] == {"chi": "t^2", "a": -1, "r": 2}
+        assert report["char_coefficients"] == ["0", "0"]
+        assert report["certificate"]["squarefree"] is False
+        assert report["certificate"]["factor"] == "t"
+
+    def test_build_refuses_the_non_integral_curve(self, tmp_path, capsys):
+        doc = {
+            "hecke": NEGATIVE_TWIST["hecke"],
+            "spectral": {"chi": "t^2", "a": -1, "r": 2, "psi": "1", "b": 0},
+        }
+        code, report, _ = run(capsys, "--no-timing", "build", write_doc(tmp_path, doc))
+        assert code == 1
+        assert report["error"]["kind"] == "NonIntegralError"
+
+
 class TestBuildCommand:
     def test_worked_build(self, tmp_path, capsys):
         doc = {
@@ -483,6 +518,36 @@ class TestFailureContract:
         code, report, _ = run(capsys, "check", write_doc(tmp_path, doc))
         assert code == 2
         assert report["error"]["kind"] == "input"
+
+    @pytest.mark.parametrize(
+        "command, mutate",
+        [
+            ("check", lambda doc: doc["hecke"].update(S=True)),
+            ("check", lambda doc: doc["hecke"].update(L=True)),
+            ("check", lambda doc: doc["Theta"].update(twist=True)),
+            ("check", lambda doc: doc["ThetaPrime"].update(twist=True)),
+            ("check", lambda doc: doc["E"].update(twists=[False, False])),
+            ("build", lambda doc: doc["spectral"].update(a=True)),
+            ("build", lambda doc: doc["spectral"].update(r=True)),
+            ("build", lambda doc: doc["spectral"].update(b=True)),
+        ],
+        ids=["S", "L", "Theta-twist", "ThetaPrime-twist", "E-twists", "a", "r", "b"],
+    )
+    def test_booleans_are_not_integers(self, command, mutate, tmp_path, capsys):
+        # each boolean stands where its value equals the valid integer, so
+        # only the type makes the document malformed
+        if command == "check":
+            doc = json.loads(json.dumps(WORKED))
+        else:
+            doc = {
+                "hecke": {"S": 1, "L": 1, "points": [{"x": "1", "lambda": "1"}]},
+                "spectral": {"chi": "t - x", "a": 1, "r": 1, "psi": "x", "b": 1},
+            }
+        mutate(doc)
+        code, report, _ = run(capsys, "--no-timing", command, write_doc(tmp_path, doc))
+        assert code == 2
+        assert report["error"]["kind"] == "input"
+        assert "int" in report["error"]["message"]
 
     @pytest.mark.parametrize("via_stdin", [False, True], ids=["file", "stdin"])
     def test_non_utf8_bytes_are_an_input_error(

@@ -4,15 +4,13 @@ from fractions import Fraction
 import pytest
 
 from heckehiggs.errors import ValidationError
+from heckehiggs.hecke import HeckeData, h0_of_twist
 from heckehiggs.poly import UniPoly
 from heckehiggs.projline import (
-    LineBundle,
-    Section,
     SplitBundle,
     TwistedEndo,
     endo_scalar,
     evaluate_endo,
-    h0,
     validate_twisted_endo,
 )
 
@@ -20,23 +18,31 @@ X = UniPoly.variable()
 F = Fraction
 
 
+def line_bundle_h0(n):
+    """h0(O(n)), as the sections of O(n) (+) O(-2) with no marked point."""
+    return h0_of_twist(HeckeData(n, -2, []), 0)
+
+
+def fits_line_bundle(poly, n):
+    """Whether `poly` is a section of O(n): a 1x1 twist-n endomorphism of O."""
+    return validate_twisted_endo(TwistedEndo(SplitBundle([0]), n, [[poly]])) == []
+
+
 class TestLineBundles:
     @pytest.mark.parametrize("n,expected", [(3, 4), (-1, 0), (0, 1), (-5, 0), (10, 11)])
     def test_h0(self, n, expected):
-        assert h0(LineBundle(n)) == expected
+        assert line_bundle_h0(n) == expected
 
     def test_riemann_roch_genus_zero(self):
         # h0(n) - h1(n) = n + 1 with h1(n) = h0(-n-2) by duality
         for n in range(-10, 11):
-            assert h0(LineBundle(n)) - h0(LineBundle(-n - 2)) == n + 1
+            assert line_bundle_h0(n) - line_bundle_h0(-n - 2) == n + 1
 
     def test_section_bounds(self):
-        Section(LineBundle(2), X**2)
-        with pytest.raises(ValidationError):
-            Section(LineBundle(1), X**2)
-        with pytest.raises(ValidationError):
-            Section(LineBundle(-1), UniPoly.one())
-        Section(LineBundle(-3), UniPoly.zero())
+        assert fits_line_bundle(X**2, 2)
+        assert not fits_line_bundle(X**2, 1)
+        assert not fits_line_bundle(UniPoly.one(), -1)
+        assert fits_line_bundle(UniPoly.zero(), -3)
 
 
 class TestSplitBundle:

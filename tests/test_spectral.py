@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -28,9 +29,7 @@ from heckehiggs.spectral import (
     SpectralCurve,
     SpectralData,
     backward_correspondence,
-    build_spectral_curve,
     certify_stability,
-    char_coefficients,
     commutant_coordinates,
     curve_of,
     eigenspace_invariance,
@@ -51,22 +50,57 @@ THETA = TwistedEndo(E2, 1, [[0, 1], [X, 0]])
 H_ONE = HeckeData(1, 1, [HeckePoint(F(0), F(1))])
 
 
+def _twisted_endos(draw, twists, a):
+    """A twisted endomorphism of O(twists) with twist `a` whose every entry
+    fills its degree bound with small integer coefficients."""
+    r = len(twists)
+    entries = []
+    for i in range(r):
+        row = []
+        for j in range(r):
+            size = max(twists[i] - twists[j] + a + 1, 0)
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+            row.append(UniPoly([F(c) for c in coeffs]))
+        entries.append(row)
+    return TwistedEndo(SplitBundle(twists), a, entries)
+
+
+def _det(rows):
+    """Cofactor expansion along the first row."""
+    if not rows:
+        return UniPoly.one()
+    total = UniPoly.zero()
+    for j, entry in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+        term = entry * _det(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def principal_minor_sum(entries, i):
+    """The trace of the i-th exterior power: the sum of the i x i principal
+    minors."""
+    total = UniPoly.zero()
+    for subset in itertools.combinations(range(len(entries)), i):
+        total = total + _det([[entries[p][q] for q in subset] for p in subset])
+    return total
+
+
 class TestCharCoefficients:
     def test_weighted_swap(self):
-        data = char_coefficients(THETA)
-        assert data.sections[0].poly.is_zero()
-        assert data.sections[1].poly == -X
+        s = curve_of(THETA).char_coefficients
+        assert s[0].is_zero()
+        assert s[1] == -X
 
     def test_zero(self):
         zero = TwistedEndo(E2, 1, [[0, 0], [0, 0]])
-        data = char_coefficients(zero)
-        assert all(s.poly.is_zero() for s in data.sections)
+        assert all(c.is_zero() for c in curve_of(zero).char_coefficients)
 
     def test_diagonal(self):
         diag = TwistedEndo(E2, 1, [[X, 0], [0, X + 1]])
-        data = char_coefficients(diag)
-        assert data.sections[0].poly == 2 * X + 1
-        assert data.sections[1].poly == X * X + X
+        s = curve_of(diag).char_coefficients
+        assert s[0] == 2 * X + 1
+        assert s[1] == X * X + X
 
     def test_section_bounds_hold(self):
         rng = random.Random(8)
@@ -84,23 +118,34 @@ class TestCharCoefficients:
                     )
                 entries.append(row)
             endo = TwistedEndo(bundle, 2, entries)
-            data = char_coefficients(endo)
-            for i, section in enumerate(data.sections, start=1):
-                assert section.poly.degree <= 2 * i
+            for i, s in enumerate(curve_of(endo).char_coefficients, start=1):
+                assert s.degree <= 2 * i
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_exterior_power_traces(self, data):
+        """s_i is the sum of the i x i principal minors, of degree <= i*a."""
+        twists = data.draw(st.sampled_from([(0,), (1, 0), (0, -1), (1, 0, -1), (2, 1, 0, -1)]))
+        a = data.draw(st.integers(-1, 2))
+        endo = _twisted_endos(data.draw, twists, a)
+        s = curve_of(endo).char_coefficients
+        assert len(s) == len(twists)
+        for i, si in enumerate(s, start=1):
+            assert si == principal_minor_sum(endo.entries, i)
+            assert si.is_zero() or si.degree <= i * a
 
 
 class TestBuildSpectralCurve:
     def test_sign_bookkeeping(self):
-        curve = build_spectral_curve(char_coefficients(THETA))
-        assert curve.chi == parse_bipoly("t^2 - x")
+        assert curve_of(THETA).chi == parse_bipoly("t^2 - x")
 
     def test_zero_gives_pure_power(self):
         zero = TwistedEndo(E2, 1, [[0, 0], [0, 0]])
-        assert build_spectral_curve(char_coefficients(zero)).chi == parse_bipoly("t^2")
+        assert curve_of(zero).chi == parse_bipoly("t^2")
 
     def test_diagonal_product(self):
         diag = TwistedEndo(E2, 1, [[X, 0], [0, X + 1]])
-        curve = build_spectral_curve(char_coefficients(diag))
+        curve = curve_of(diag)
         assert curve.chi == parse_bipoly("t - x") * parse_bipoly("t - x - 1")
 
     def test_display_equals_char_poly(self):
@@ -116,7 +161,7 @@ class TestBuildSpectralCurve:
                     for _ in range(r)
                 ]
                 endo = TwistedEndo(bundle, 2, entries)
-                curve = build_spectral_curve(char_coefficients(endo))
+                curve = curve_of(endo)
                 assert curve.chi == char_poly(endo.entries)
 
     def test_conjugation_invariance(self):
@@ -133,7 +178,15 @@ class TestBuildSpectralCurve:
                 row.append(acc)
             conj_entries.append(tuple(row))
         conj = TwistedEndo(E2, 1, tuple(conj_entries))
-        assert char_coefficients(conj).sections == char_coefficients(THETA).sections
+        assert curve_of(conj).char_coefficients == curve_of(THETA).char_coefficients
+
+    def test_zero_coefficients_meet_negative_bounds(self):
+        """A zero coefficient fits any bound, even a negative one."""
+        zero = TwistedEndo(E2, -1, [[0, 0], [0, 0]])
+        assert curve_of(zero).chi == parse_bipoly("t^2")
+        assert SpectralCurve(parse_bipoly("t^3"), -2, 3).a == -2
+        with pytest.raises(ValidationError):
+            SpectralCurve(parse_bipoly("t^2 + 1"), -1, 2)
 
 
 class TestIntegrality:
@@ -187,7 +240,7 @@ class TestFiberPoints:
             ]
             endo = TwistedEndo(E2, 1, entries)
             curve = curve_of(endo)
-            s1 = char_coefficients(endo).sections[0].poly
+            s1 = curve.char_coefficients[0]
             for x0 in (F(0), F(1), F(-2)):
                 total = sum(
                     (p.multiplicity * p.y.trace() for p in fiber_points(curve, x0)),
