@@ -10,12 +10,10 @@ from .errors import (
     EigenvalueConditionError,
     FiberConditionError,
     HeckeHiggsError,
-    InfeasibleBudgetError,
     NonIntegralError,
     NotInCommutantError,
     ParseError,
     RetryExhaustedError,
-    UnsupportedRankError,
     ValidationError,
 )
 from .hecke import (
@@ -32,7 +30,6 @@ from .higgs import (
     check_fiber_condition,
     commutator,
     decompose,
-    random_valid_instance,
     reconstruct,
 )
 from .numfield import NumberField, NumberFieldElement
@@ -62,6 +59,5 @@ from .spectral import (
     eigenvalue_condition,
     fiber_points,
     forward_correspondence,
-    invariant_line_search,
     is_integral,
 )

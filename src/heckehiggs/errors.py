@@ -25,10 +25,6 @@ class FiberConditionError(HeckeHiggsError):
         self.points = tuple(points)
 
 
-class InfeasibleBudgetError(HeckeHiggsError):
-    """Random instance generation cannot satisfy the degree bounds."""
-
-
 class RetryExhaustedError(HeckeHiggsError):
     """Randomized presentation search failed to hit the requested target."""
 
@@ -55,7 +51,3 @@ class EigenvalueConditionError(HeckeHiggsError):
 
 class DegreeBoundError(HeckeHiggsError):
     """A constructed matrix entry exceeds its twisted-homomorphism bound."""
-
-
-class UnsupportedRankError(HeckeHiggsError):
-    """Operation only implemented for rank 2."""

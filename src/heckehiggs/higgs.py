@@ -10,25 +10,12 @@ validated field; ``decompose`` projects back to the pair.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    CommutationError,
-    FiberConditionError,
-    InfeasibleBudgetError,
-    ValidationError,
-)
+from .errors import CommutationError, FiberConditionError, ValidationError
 from .hecke import HeckeData, require_valid
-from .poly import UniPoly
-from .projline import (
-    SplitBundle,
-    TwistedEndo,
-    endo_scalar,
-    evaluate_endo,
-    require_valid_endo,
-)
+from .projline import SplitBundle, TwistedEndo, evaluate_endo, require_valid_endo
 
 
 class HiggsPair:
@@ -175,84 +162,3 @@ def reconstruct(pair: HiggsPair, data: HeckeData) -> TwistedHiggsField:
 def decompose(field: TwistedHiggsField):
     """The two line-bundle-twisted components; left inverse of reconstruct."""
     return field.pair.first, field.pair.second
-
-
-def _random_poly(rng: random.Random, degree: int) -> UniPoly:
-    if degree < 0:
-        return UniPoly.zero()
-    return UniPoly([Fraction(rng.randint(-4, 4)) for _ in range(degree + 1)])
-
-
-def random_valid_instance(
-    data: HeckeData,
-    bundle: SplitBundle,
-    degree_budget: int,
-    rng_seed: int,
-) -> TwistedHiggsField:
-    """Draw a random certified instance on the given bundle.
-
-    The first component is a random twisted endomorphism with entry degrees
-    capped by `degree_budget`; the second is alpha*I + beta*first where beta
-    interpolates the marked scalars and alpha vanishes at the marked points,
-    which makes both conditions hold by construction.  Raises
-    InfeasibleBudgetError when the interpolation degrees cannot fit the
-    second component's bounds for some admissible draw.
-    """
-    require_valid(data)
-    a, b = data.a, data.b
-    xs = data.marked_xs()
-    ell = len(xs)
-    rng = random.Random(rng_seed)
-
-    if ell:
-        beta = UniPoly.interpolate(
-            [(x, data.scalar(i)) for i, x in enumerate(xs)]
-        )
-        room = b - a - max(beta.degree, 0)
-        if room >= ell:
-            extra = _random_poly(rng, room - ell)
-            vanishing = UniPoly.one()
-            for x in xs:
-                vanishing = vanishing * UniPoly((-x, 1))
-            beta = beta + vanishing * extra
-    else:
-        beta = _random_poly(rng, max(b - a, 0)) if b >= a else UniPoly.zero()
-
-    twists = bundle.twists
-    r = bundle.rank
-    beta_deg = max(beta.degree, 0) if not beta.is_zero() else 0
-    for i in range(r):
-        for j in range(r):
-            cap = min(twists[i] - twists[j] + a, degree_budget)
-            if cap < 0:
-                continue
-            if not beta.is_zero() and beta_deg + cap > twists[i] - twists[j] + b:
-                raise InfeasibleBudgetError(
-                    f"entry ({i + 1},{j + 1}): budget {cap} plus interpolation "
-                    f"degree {beta_deg} exceeds bound {twists[i] - twists[j] + b}"
-                )
-
-    entries = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            cap = min(twists[i] - twists[j] + a, degree_budget)
-            row.append(_random_poly(rng, cap))
-        entries.append(tuple(row))
-    first = TwistedEndo(bundle, a, tuple(entries))
-
-    if ell and b - ell >= 0:
-        vanishing = UniPoly.one()
-        for x in xs:
-            vanishing = vanishing * UniPoly((-x, 1))
-        alpha = vanishing * _random_poly(rng, b - ell)
-    elif ell:
-        alpha = UniPoly.zero()
-    else:
-        alpha = _random_poly(rng, b)
-
-    scaled = tuple(tuple(beta * e for e in row) for row in first.entries)
-    second = TwistedEndo(bundle, b, scaled) + endo_scalar(bundle, alpha, b)
-    pair = HiggsPair(bundle, first, second)
-    return reconstruct(pair, data)
-

@@ -38,13 +38,6 @@ def mat_mul(a, b):
     return tuple(out)
 
 
-def mat_identity(n, one):
-    zero = one - one
-    return tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
-
-
 def mat_is_zero(a) -> bool:
     return all(x == 0 for row in a for x in row)
 

@@ -146,14 +146,6 @@ class TwistedEndo:
             self.source, self.twist + other.twist, mat_mul(self.entries, other.entries)
         )
 
-    def scale(self, c) -> "TwistedEndo":
-        """Multiply every entry by a rational constant."""
-        return TwistedEndo(
-            self.source,
-            self.twist,
-            tuple(tuple(e * c for e in row) for row in self.entries),
-        )
-
 
 def endo_scalar(source: SplitBundle, poly: UniPoly, twist: int) -> TwistedEndo:
     """poly * identity as a twist-`twist` endomorphism."""

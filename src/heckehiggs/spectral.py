@@ -31,7 +31,6 @@ from .errors import (
     EigenvalueConditionError,
     NonIntegralError,
     NotInCommutantError,
-    UnsupportedRankError,
     ValidationError,
 )
 from .factor import (
@@ -523,60 +522,3 @@ def certify_stability(field: TwistedHiggsField):
     if integral:
         return "Stable", certificate
     return "Unknown", certificate
-
-
-@dataclass(frozen=True)
-class InvariantLine:
-    """A line subbundle invariant under the first component (rank 2)."""
-
-    eigenvalue: UniPoly
-    vector: tuple  # pair of UniPoly, not both zero, primitive
-    second_invariant: bool
-
-
-def invariant_line_search(pair: HiggsPair, curve: SpectralCurve):
-    """Rank-2 search for a first-component-invariant line subbundle.
-
-    Returns an InvariantLine exactly when the characteristic polynomial is
-    reducible over Q(x) (equivalently its discriminant is a polynomial
-    square), reporting whether the line is also second-invariant; returns
-    None for an irreducible curve.  `curve` is the spectral curve of the
-    first component, chi = t^2 - s1 t + s2.
-    """
-    if pair.rank != 2:
-        raise UnsupportedRankError("invariant line search is rank-2 only")
-    s1 = -curve.chi.tcoeff(1)
-    s2 = curve.chi.tcoeff(0)
-    disc = s1 * s1 - 4 * s2
-    root = disc.sqrt()
-    if root is None:
-        return None
-    mu = (s1 + root) / 2
-    m = pair.first.entries
-    candidates = [
-        (m[0][1], mu - m[0][0]),
-        (mu - m[1][1], m[1][0]),
-    ]
-    vector = None
-    for v in candidates:
-        if not (v[0].is_zero() and v[1].is_zero()):
-            vector = v
-            break
-    if vector is None:
-        vector = (UniPoly.one(), UniPoly.zero())  # scalar matrix: any line
-    else:
-        g = vector[0].gcd(vector[1])
-        if g.degree > 0:
-            vector = (vector[0].exact_div(g), vector[1].exact_div(g))
-    checks = (
-        m[0][0] * vector[0] + m[0][1] * vector[1] - mu * vector[0],
-        m[1][0] * vector[0] + m[1][1] * vector[1] - mu * vector[1],
-    )
-    if not (checks[0].is_zero() and checks[1].is_zero()):
-        raise ValidationError("eigenline verification failed (internal error)")
-    w = (
-        pair.second.entries[0][0] * vector[0] + pair.second.entries[0][1] * vector[1],
-        pair.second.entries[1][0] * vector[0] + pair.second.entries[1][1] * vector[1],
-    )
-    cross = w[0] * vector[1] - w[1] * vector[0]
-    return InvariantLine(mu, vector, cross.is_zero())

@@ -1,17 +1,107 @@
-"""Hypothesis strategies for instances: certified ones drawn with
-`random_valid_instance`, and single-entry perturbations of them; and
-`perturb_second_at_point`, the fixed perturbation the rejection tests use."""
+"""Test-side instance generators and oracles: `random_valid_instance`, which
+draws certified instances by construction; the hypothesis strategies built
+on it, and single-entry perturbations of them; `perturb_second_at_point`,
+the fixed perturbation the rejection tests use; and `invariant_line_search`,
+the rank-2 reference oracle for stability."""
 
+import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import hypothesis.strategies as st
 from hypothesis import assume
 
-from heckehiggs.errors import InfeasibleBudgetError
-from heckehiggs.hecke import HeckeData, HeckePoint
-from heckehiggs.higgs import HiggsPair, TwistedHiggsField, random_valid_instance
+from heckehiggs.errors import ValidationError
+from heckehiggs.hecke import HeckeData, HeckePoint, require_valid
+from heckehiggs.higgs import HiggsPair, TwistedHiggsField, reconstruct
 from heckehiggs.poly import UniPoly
 from heckehiggs.projline import SplitBundle, TwistedEndo, endo_scalar
+from heckehiggs.spectral import SpectralCurve
+
+
+class InfeasibleBudgetError(Exception):
+    """Random instance generation cannot satisfy the degree bounds."""
+
+
+def _random_poly(rng: random.Random, degree: int) -> UniPoly:
+    if degree < 0:
+        return UniPoly.zero()
+    return UniPoly([Fraction(rng.randint(-4, 4)) for _ in range(degree + 1)])
+
+
+def random_valid_instance(
+    data: HeckeData,
+    bundle: SplitBundle,
+    degree_budget: int,
+    rng_seed: int,
+) -> TwistedHiggsField:
+    """Draw a random certified instance on the given bundle.
+
+    The first component is a random twisted endomorphism with entry degrees
+    capped by `degree_budget`; the second is alpha*I + beta*first where beta
+    interpolates the marked scalars and alpha vanishes at the marked points,
+    which makes both conditions hold by construction.  Raises
+    InfeasibleBudgetError when the interpolation degrees cannot fit the
+    second component's bounds for some admissible draw.
+    """
+    require_valid(data)
+    a, b = data.a, data.b
+    xs = data.marked_xs()
+    ell = len(xs)
+    rng = random.Random(rng_seed)
+
+    if ell:
+        beta = UniPoly.interpolate(
+            [(x, data.scalar(i)) for i, x in enumerate(xs)]
+        )
+        room = b - a - max(beta.degree, 0)
+        if room >= ell:
+            extra = _random_poly(rng, room - ell)
+            vanishing = UniPoly.one()
+            for x in xs:
+                vanishing = vanishing * UniPoly((-x, 1))
+            beta = beta + vanishing * extra
+    else:
+        beta = _random_poly(rng, max(b - a, 0)) if b >= a else UniPoly.zero()
+
+    twists = bundle.twists
+    r = bundle.rank
+    beta_deg = max(beta.degree, 0) if not beta.is_zero() else 0
+    for i in range(r):
+        for j in range(r):
+            cap = min(twists[i] - twists[j] + a, degree_budget)
+            if cap < 0:
+                continue
+            if not beta.is_zero() and beta_deg + cap > twists[i] - twists[j] + b:
+                raise InfeasibleBudgetError(
+                    f"entry ({i + 1},{j + 1}): budget {cap} plus interpolation "
+                    f"degree {beta_deg} exceeds bound {twists[i] - twists[j] + b}"
+                )
+
+    entries = []
+    for i in range(r):
+        row = []
+        for j in range(r):
+            cap = min(twists[i] - twists[j] + a, degree_budget)
+            row.append(_random_poly(rng, cap))
+        entries.append(tuple(row))
+    first = TwistedEndo(bundle, a, tuple(entries))
+
+    if ell and b - ell >= 0:
+        vanishing = UniPoly.one()
+        for x in xs:
+            vanishing = vanishing * UniPoly((-x, 1))
+        alpha = vanishing * _random_poly(rng, b - ell)
+    elif ell:
+        alpha = UniPoly.zero()
+    else:
+        alpha = _random_poly(rng, b)
+
+    scaled = tuple(tuple(beta * e for e in row) for row in first.entries)
+    second = TwistedEndo(bundle, b, scaled) + endo_scalar(bundle, alpha, b)
+    pair = HiggsPair(bundle, first, second)
+    return reconstruct(pair, data)
+
 
 BUNDLES = ((0, 0), (1, 0), (0, 0, 0), (1, 0, 0))
 SCALARS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2), Fraction(3))
@@ -91,3 +181,60 @@ def perturb_second_at_point(field: TwistedHiggsField, index: int, delta=1):
         )
     bumped = field.pair.second + endo_scalar(field.pair.bundle, bump, data.b)
     return HiggsPair(field.pair.bundle, field.pair.first, bumped)
+
+
+@dataclass(frozen=True)
+class InvariantLine:
+    """A line subbundle invariant under the first component (rank 2)."""
+
+    eigenvalue: UniPoly
+    vector: tuple  # pair of UniPoly, not both zero, primitive
+    second_invariant: bool
+
+
+def invariant_line_search(pair: HiggsPair, curve: SpectralCurve):
+    """Rank-2 search for a first-component-invariant line subbundle.
+
+    Returns an InvariantLine exactly when the characteristic polynomial is
+    reducible over Q(x) (equivalently its discriminant is a polynomial
+    square), reporting whether the line is also second-invariant; returns
+    None for an irreducible curve.  `curve` is the spectral curve of the
+    first component, chi = t^2 - s1 t + s2.
+    """
+    if pair.rank != 2:
+        raise ValueError("invariant line search is rank-2 only")
+    s1 = -curve.chi.tcoeff(1)
+    s2 = curve.chi.tcoeff(0)
+    disc = s1 * s1 - 4 * s2
+    root = disc.sqrt()
+    if root is None:
+        return None
+    mu = (s1 + root) / 2
+    m = pair.first.entries
+    candidates = [
+        (m[0][1], mu - m[0][0]),
+        (mu - m[1][1], m[1][0]),
+    ]
+    vector = None
+    for v in candidates:
+        if not (v[0].is_zero() and v[1].is_zero()):
+            vector = v
+            break
+    if vector is None:
+        vector = (UniPoly.one(), UniPoly.zero())  # scalar matrix: any line
+    else:
+        g = vector[0].gcd(vector[1])
+        if g.degree > 0:
+            vector = (vector[0].exact_div(g), vector[1].exact_div(g))
+    checks = (
+        m[0][0] * vector[0] + m[0][1] * vector[1] - mu * vector[0],
+        m[1][0] * vector[0] + m[1][1] * vector[1] - mu * vector[1],
+    )
+    if not (checks[0].is_zero() and checks[1].is_zero()):
+        raise ValidationError("eigenline verification failed (internal error)")
+    w = (
+        pair.second.entries[0][0] * vector[0] + pair.second.entries[0][1] * vector[1],
+        pair.second.entries[1][0] * vector[0] + pair.second.entries[1][1] * vector[1],
+    )
+    cross = w[0] * vector[1] - w[1] * vector[0]
+    return InvariantLine(mu, vector, cross.is_zero())

@@ -11,14 +11,9 @@ from fractions import Fraction
 import pytest
 
 from heckehiggs.cli import main
-from heckehiggs.errors import FiberConditionError, InfeasibleBudgetError
+from heckehiggs.errors import FiberConditionError
 from heckehiggs.hecke import HeckeData, HeckePoint, make_presentation, splitting_type
-from heckehiggs.higgs import (
-    HiggsPair,
-    decompose,
-    random_valid_instance,
-    reconstruct,
-)
+from heckehiggs.higgs import HiggsPair, decompose, reconstruct
 from heckehiggs.linalg import char_poly
 from heckehiggs.poly import BiPoly, UniPoly
 from heckehiggs.projline import SplitBundle, TwistedEndo
@@ -31,10 +26,14 @@ from heckehiggs.spectral import (
     eigenvalue_condition,
     fiber_points,
     forward_correspondence,
-    invariant_line_search,
     is_integral,
 )
-from instance_strategies import perturb_second_at_point
+from instance_strategies import (
+    InfeasibleBudgetError,
+    invariant_line_search,
+    perturb_second_at_point,
+    random_valid_instance,
+)
 
 F = Fraction
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")

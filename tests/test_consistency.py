@@ -4,17 +4,23 @@ import itertools
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
+from hypothesis import assume, given, settings
+
+from heckehiggs.errors import DegreeBoundError
 from heckehiggs.hecke import HeckeData, HeckePoint, h0_of_twist
-from heckehiggs.higgs import HiggsPair, random_valid_instance
-from heckehiggs.linalg import char_poly
+from heckehiggs.higgs import HiggsPair, check_fiber_condition
+from heckehiggs.linalg import solve_right
 from heckehiggs.poly import UniPoly
-from heckehiggs.projline import SplitBundle, TwistedEndo
+from heckehiggs.projline import SplitBundle, TwistedEndo, endo_scalar
 from heckehiggs.spectral import (
     backward_correspondence,
     curve_of,
+    eigenspace_invariance,
     forward_correspondence,
     is_integral,
 )
+from instance_strategies import random_valid_instance, valid_fields
 
 F = Fraction
 
@@ -157,3 +163,54 @@ class TestRandomInstanceAgainstDirectChecks:
                         lhs = second.entries[i][j].evaluate(p.x)
                         rhs = p.scale * first.entries[i][j].evaluate(p.x)
                         assert lhs == rhs
+
+
+class TestCertifiedInstanceInvariants:
+    """Invariants of the certified instances `valid_fields` draws: fiberwise,
+    under rescaling and constant conjugation, and through the companion
+    model of the spectral correspondence."""
+
+    @given(valid_fields(), st.fractions(min_value=-6, max_value=6, max_denominator=2))
+    @settings(max_examples=15, deadline=None)
+    def test_eigenspace_invariance(self, field, x0):
+        pair = field.pair
+        assert eigenspace_invariance(pair, curve_of(pair.first), x0)
+
+    @given(valid_fields(), st.fractions(min_value=-3, max_value=3, max_denominator=2))
+    @settings(max_examples=15, deadline=None)
+    def test_fiber_condition_survives_scaling(self, field, c):
+        assume(c != 0)
+        bundle, first, second = field.pair.bundle, field.pair.first, field.pair.second
+        scalar = endo_scalar(bundle, UniPoly.constant(c), 0)
+        scaled = HiggsPair(bundle, scalar * first, scalar * second)
+        assert check_fiber_condition(scaled, field.hecke)[0]
+
+    @given(valid_fields(), st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_constant_conjugation_keeps_fiber_condition_and_chi(self, field, data):
+        pair = field.pair
+        assume(len(set(pair.bundle.twists)) == 1)
+        r = pair.rank
+        g = [[F(data.draw(st.integers(-2, 2))) for _ in range(r)] for _ in range(r)]
+        identity = [[F(int(i == j)) for j in range(r)] for i in range(r)]
+        g_inv = solve_right(g, identity, F(1))
+        assume(g_inv is not None)
+        conj, conj_inv = TwistedEndo(pair.bundle, 0, g), TwistedEndo(pair.bundle, 0, g_inv)
+        conjugated = HiggsPair(
+            pair.bundle, conj * pair.first * conj_inv, conj * pair.second * conj_inv
+        )
+        assert check_fiber_condition(conjugated, field.hecke)[0]
+        assert curve_of(conjugated.first).chi == curve_of(pair.first).chi
+
+    @given(valid_fields())
+    @settings(max_examples=15, deadline=None)
+    def test_companion_model_round_trip(self, field):
+        # forward, then backward to the companion model, then forward again
+        assume(is_integral(curve_of(field.pair.first))[0])
+        spectral = forward_correspondence(field)
+        assume(spectral.psi_denominator == UniPoly.one())
+        try:
+            companion = backward_correspondence(spectral, field.hecke)
+        except DegreeBoundError:
+            assume(False)
+        assert forward_correspondence(companion) == spectral

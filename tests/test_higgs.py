@@ -3,12 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckehiggs.errors import (
-    CommutationError,
-    FiberConditionError,
-    InfeasibleBudgetError,
-    ValidationError,
-)
+from heckehiggs.errors import CommutationError, FiberConditionError, ValidationError
 from heckehiggs.hecke import HeckeData, HeckePoint
 from heckehiggs.higgs import (
     HiggsPair,
@@ -16,12 +11,15 @@ from heckehiggs.higgs import (
     check_fiber_condition,
     commutator,
     decompose,
-    random_valid_instance,
     reconstruct,
 )
 from heckehiggs.poly import UniPoly
 from heckehiggs.projline import SplitBundle, TwistedEndo, evaluate_endo
-from instance_strategies import perturb_second_at_point
+from instance_strategies import (
+    InfeasibleBudgetError,
+    perturb_second_at_point,
+    random_valid_instance,
+)
 
 X = UniPoly.variable()
 F = Fraction
@@ -30,6 +28,7 @@ E2 = SplitBundle([0, 0])
 THETA = TwistedEndo(E2, 1, [[0, 1], [X, 0]])
 H_ONE = HeckeData(1, 1, [HeckePoint(F(0), F(1))])
 H_NONE = HeckeData(1, 1, [])
+TWO_THETA = TwistedEndo(E2, 1, [[0, 2], [2 * X, 0]])
 
 
 class TestCommutator:
@@ -59,7 +58,7 @@ class TestFiberCondition:
 
     def test_scalar_mismatch(self):
         ok, verdicts = check_fiber_condition(
-            HiggsPair(E2, THETA, THETA.scale(2)), H_ONE
+            HiggsPair(E2, THETA, TWO_THETA), H_ONE
         )
         assert not ok
         assert verdicts[0].residual == ((F(0), F(1)), (F(0), F(0)))
@@ -112,7 +111,7 @@ class TestFiberCondition:
         second1 = TwistedEndo(E2, 1, [[X, 1], [X, X]])  # x*I + Theta
         second2 = THETA  # beta = 1
         for c1, c2 in [(F(2), F(3)), (F(-1, 2), F(5)), (F(0), F(1))]:
-            combo_first = THETA.scale(c1 + c2)
+            combo_first = TwistedEndo(E2, 1, [[0, c1 + c2], [(c1 + c2) * X, 0]])
             combo_second = TwistedEndo(
                 E2,
                 1,
@@ -139,7 +138,7 @@ class TestReconstruct:
 
     def test_fiber_failure(self):
         with pytest.raises(FiberConditionError) as info:
-            reconstruct(HiggsPair(E2, THETA, THETA.scale(2)), H_ONE)
+            reconstruct(HiggsPair(E2, THETA, TWO_THETA), H_ONE)
         assert info.value.points == (F(0),)
 
     def test_commutation_failure(self):
