@@ -75,7 +75,8 @@ def _load_document(path: str) -> dict:
         raise ParseError(f"input is not UTF-8: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer past CPython's digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError("JSON nesting too deep") from exc
@@ -263,7 +264,8 @@ def cmd_hecke_make(c: int, d: int, length: int, pool, seed: int):
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as a ParseError, so that `main` prints it as an
-    input report; subparsers inherit the class."""
+    input report; subparsers inherit the class.  `--help` prints and exits 0
+    through argparse."""
 
     def error(self, message):
         raise ParseError(message)
@@ -298,10 +300,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parse_args keeps no state between calls
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
     args = None
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         start = time.monotonic()
         if args.command == "check":
             report, code = cmd_check(_load_document(args.document), args.sign)

@@ -15,24 +15,22 @@ to the second's whose graph is the kernel fiber.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import RetryExhaustedError, ValidationError
 from .linalg import mat_rank
 from .poly import UniPoly
 
 
-@dataclass(frozen=True)
-class HeckePoint:
+class HeckePoint(Record):
     """A marked chart point with its nonzero fiber scalar."""
 
-    x: Fraction
-    scale: Fraction
+    __slots__ = ("x", "scale")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "scale", Fraction(self.scale))
+    def __init__(self, x: Fraction, scale: Fraction):
+        object.__setattr__(self, "x", Fraction(x))
+        object.__setattr__(self, "scale", Fraction(scale))
 
 
 class HeckeData:

@@ -10,9 +10,9 @@ validated field; ``decompose`` projects back to the pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import CommutationError, FiberConditionError, ValidationError
 from .hecke import HeckeData, require_valid
 from .projline import SplitBundle, TwistedEndo, evaluate_endo, require_valid_endo
@@ -64,11 +64,16 @@ def check_commutation(pair: HiggsPair) -> bool:
     return commutator(pair).is_zero()
 
 
-@dataclass(frozen=True)
-class FiberVerdict:
-    x: Fraction
-    ok: bool
-    residual: tuple  # second(x) - lambda * first(x)
+class FiberVerdict(Record):
+    """The fiber equation at one marked point; `residual` is
+    second(x) - lambda * first(x)."""
+
+    __slots__ = ("x", "ok", "residual")
+
+    def __init__(self, x: Fraction, ok: bool, residual: tuple):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "residual", residual)
 
 
 def check_fiber_condition(pair: HiggsPair, data: HeckeData):

@@ -14,7 +14,9 @@ elements.
 All values are immutable and all operations are pure; the text grammar
 (`parse_bipoly` / `format_bipoly`) is the single parse/print format used by
 every other module: terms over ``x`` and ``t``, rational coefficients as
-``p/q`` or integers, ``^`` for powers, e.g. ``"t^2 - 3/2*x*t + 1"``.  The
+``p/q`` or integers in ASCII digits, ``^`` for powers, e.g.
+``"t^2 - 3/2*x*t + 1"``; `parse_fraction` reads a signed rational in the
+same digits.  The
 parser reads each term as a (coefficient, x-exponent, t-exponent) triple and
 sums like terms, so ``"x*t - t*x"`` is 0; it builds the polynomial once and
 takes no polynomial product or power.
@@ -22,9 +24,9 @@ takes no polynomial product or power.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Sequence
 
 from .errors import ParseError
 
@@ -696,7 +698,9 @@ def bipoly_gcd_t(p: BiPoly, q: BiPoly) -> BiPoly:
 
 # -- text grammar ---------------------------------------------------------
 
-_TOKEN_CHARS = set("0123456789/^*+-xt")
+_DIGITS = frozenset("0123456789")
+_TOKEN_CHARS = _DIGITS | set("/^*+-xt")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _tokenize(text: str):
@@ -709,11 +713,15 @@ def _tokenize(text: str):
             continue
         if ch not in _TOKEN_CHARS:
             raise ParseError(f"unexpected character {ch!r} in {text!r}")
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            tokens.append(("num", int(text[i:j])))
+            try:
+                value = int(text[i:j])
+            except ValueError as exc:  # past CPython's int-string digit limit
+                raise ParseError(f"integer literal of {j - i} digits is too long") from exc
+            tokens.append(("num", value))
             i = j
         else:
             tokens.append((ch, ch))
@@ -814,8 +822,13 @@ def parse_unipoly(text: str) -> UniPoly:
 
 
 def parse_fraction(text: str) -> Fraction:
+    """A rational literal: an optional sign, ASCII digits, and optionally `/`
+    and more ASCII digits, with surrounding whitespace ignored."""
+    body = text.strip()
+    if not _RATIONAL.fullmatch(body):
+        raise ParseError(f"bad rational literal {text!r}")
     try:
-        return Fraction(text.strip())
+        return Fraction(body)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational literal {text!r}") from exc
 

@@ -8,9 +8,9 @@ are canonical and fiber maps are plain scalar matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import ValidationError
 from .linalg import mat_mul
 from .poly import UniPoly, format_unipoly
@@ -160,12 +160,16 @@ def endo_scalar(source: SplitBundle, poly: UniPoly, twist: int) -> TwistedEndo:
     )
 
 
-@dataclass(frozen=True)
-class EndoViolation:
-    row: int
-    col: int
-    degree: int
-    bound: int
+class EndoViolation(Record):
+    """An entry whose degree exceeds its bound."""
+
+    __slots__ = ("row", "col", "degree", "bound")
+
+    def __init__(self, row: int, col: int, degree: int, bound: int):
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "col", col)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "bound", bound)
 
     def describe(self) -> str:
         return (

@@ -22,9 +22,9 @@ every fiberwise check takes a sign in {+1, -1}, default +1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import (
     CommutationError,
     DegreeBoundError,
@@ -66,23 +66,23 @@ from .projline import (
 )
 
 
-@dataclass(frozen=True)
-class SpectralCurve:
+class SpectralCurve(Record):
     """chi(x, t) monic of t-degree r, with t^(r-i) coefficient (-1)^i s_i."""
 
-    chi: BiPoly
-    a: int
-    r: int
+    __slots__ = ("chi", "a", "r")
 
-    def __post_init__(self):
-        if self.chi.t_degree != self.r or not self.chi.is_monic_in_t():
+    def __init__(self, chi: BiPoly, a: int, r: int):
+        if chi.t_degree != r or not chi.is_monic_in_t():
             raise ValidationError("curve polynomial must be monic in t of degree r")
-        for i in range(1, self.r + 1):
-            coeff = self.chi.tcoeff(self.r - i)
-            if not coeff.is_zero() and coeff.degree > i * self.a:
+        for i in range(1, r + 1):
+            coeff = chi.tcoeff(r - i)
+            if not coeff.is_zero() and coeff.degree > i * a:
                 raise ValidationError(
-                    f"t^{self.r - i} coefficient exceeds its x-degree bound {i * self.a}"
+                    f"t^{r - i} coefficient exceeds its x-degree bound {i * a}"
                 )
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "r", r)
 
     @property
     def char_coefficients(self) -> tuple:
@@ -93,30 +93,32 @@ class SpectralCurve:
         )
 
 
-@dataclass(frozen=True)
-class SpectralFiberPoint:
+class SpectralFiberPoint(Record):
     """One conjugate class of points of the curve above a rational base point."""
 
-    field: NumberField
-    y: NumberFieldElement
-    multiplicity: int
+    __slots__ = ("field", "y", "multiplicity")
+
+    def __init__(self, field: NumberField, y: NumberFieldElement, multiplicity: int):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "multiplicity", multiplicity)
 
 
-@dataclass(frozen=True)
-class SpectralData:
+class SpectralData(Record):
     """Rank-1 datum on the curve: the multiplier psi (t-degree < r) with a
     cleared polynomial denominator, plus the second twist degree."""
 
-    curve: SpectralCurve
-    psi: BiPoly
-    psi_denominator: UniPoly
-    b: int
+    __slots__ = ("curve", "psi", "psi_denominator", "b")
 
-    def __post_init__(self):
-        if self.psi.t_degree >= self.curve.r:
+    def __init__(self, curve: SpectralCurve, psi: BiPoly, psi_denominator: UniPoly, b: int):
+        if psi.t_degree >= curve.r:
             raise ValidationError("multiplier must have t-degree < r")
-        if self.psi_denominator.is_zero():
+        if psi_denominator.is_zero():
             raise ValidationError("zero multiplier denominator")
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "psi_denominator", psi_denominator)
+        object.__setattr__(self, "b", b)
 
 
 def curve_of(endo: TwistedEndo) -> SpectralCurve:
@@ -227,13 +229,17 @@ def eigenspace_invariance(pair: HiggsPair, curve: SpectralCurve, x0) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class EigenvalueVerdict:
-    x: Fraction
-    minimal: str
-    multiplicity: int
-    ok: bool
-    note: str = ""
+class EigenvalueVerdict(Record):
+    """The eigenvalue condition at one fiber point above a marked point x."""
+
+    __slots__ = ("x", "minimal", "multiplicity", "ok", "note")
+
+    def __init__(self, x: Fraction, minimal: str, multiplicity: int, ok: bool, note: str = ""):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "minimal", minimal)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "note", note)
 
 
 def eigenvalue_condition(

@@ -1,5 +1,7 @@
+import argparse
 import io
 import json
+import subprocess
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -528,6 +530,72 @@ class TestFailureContract:
         assert code == 2
         assert report["error"] == {"kind": "input", "message": "JSON nesting too deep"}
 
+    @pytest.mark.parametrize("via_stdin", [False, True], ids=["file", "stdin"])
+    def test_long_json_integer_is_an_input_error(
+        self, via_stdin, tmp_path, monkeypatch, capsys
+    ):
+        # json.loads refuses an integer past CPython's int-string digit limit
+        doc = json.loads((GOLDEN / "worked_instance.json").read_text())
+        text = json.dumps(doc)
+        assert '"S": 1,' in text
+        text = text.replace('"S": 1,', '"S": ' + "9" * 5000 + ",")
+        path = tmp_path / "long.json"
+        path.write_text(text)
+        if via_stdin:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, report, _ = run(capsys, "check", "-" if via_stdin else str(path))
+        assert code == 2
+        assert report["error"]["kind"] == "input"
+
+    @pytest.mark.parametrize(
+        "where, text",
+        [
+            ("entry", "1\u00b2"),
+            ("entry", "9" * 5000 + "*x"),
+            ("x", "1e5"),
+            ("x", "0.5"),
+            ("x", "1_000"),
+            ("x", "\u0661"),
+            ("x", "9" * 5000),
+            ("x", "1e100000"),
+            ("x", "1e999999999"),
+            ("lambda", "1e5"),
+        ],
+        ids=[
+            "superscript-digit",
+            "long-coefficient",
+            "exponent-notation",
+            "decimal-point",
+            "underscore",
+            "arabic-indic-digit",
+            "long-rational",
+            "huge-exponent",
+            "giant-exponent",
+            "lambda-exponent-notation",
+        ],
+    )
+    def test_literals_outside_the_grammar_are_input_errors(
+        self, where, text, tmp_path, capsys
+    ):
+        # coefficients and rationals are ASCII integers or p/q, nothing more
+        doc = json.loads(json.dumps(WORKED))
+        if where == "entry":
+            doc["Theta"]["entries"][1][0] = text
+        else:
+            doc["hecke"]["points"][0][where] = text
+        code, report, _ = run(capsys, "--no-timing", "check", write_doc(tmp_path, doc))
+        assert code == 2
+        assert report["error"]["kind"] == "input"
+
+    @pytest.mark.parametrize("pool", ["1e5", "0.5,1", "1_000", "\u0661,2", "1\u00b2"])
+    def test_pool_outside_the_grammar_is_an_input_error(self, pool, capsys):
+        code, report, _ = run(
+            capsys, "--no-timing", "hecke-make", "0", "0", "1", "--pool", pool
+        )
+        assert code == 2
+        assert report["command"] == "hecke-make"
+        assert report["error"]["kind"] == "input"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -557,6 +625,70 @@ class TestFailureContract:
             main(["--help"])
         assert info.value.code == 0
         assert capsys.readouterr().out.startswith("usage: heckehiggs")
+
+
+class TestParserOnce:
+    """`main` parses every command line with the one parser built at import."""
+
+    def test_no_parser_is_built_per_call(self, monkeypatch, capsys):
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        path = str(GOLDEN / "worked_instance.json")
+        for argv in (
+            ["--no-timing", "check", path],
+            ["check"],
+            ["--no-timing", "reconstruct", path],
+            ["--no-timing", "--seed", "1", "hecke-make", "1", "0", "2"],
+        ):
+            main(argv)
+        capsys.readouterr()
+        assert built == []
+
+    def test_golden_check_after_a_usage_error(self, capsys):
+        expected = (GOLDEN / "worked_expected_check.json").read_text(encoding="utf-8")
+        assert main(["--sign", "2", "check", "x"]) == 2
+        capsys.readouterr()
+        assert main(["--no-timing", "check", str(GOLDEN / "worked_instance.json")]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]], ids=["top", "check"])
+    def test_help_twice(self, argv, capsys):
+        outputs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("usage: heckehiggs")
+
+
+# Stdlib modules a CLI process must not import: `dataclasses` and what it
+# pulls in, and `typing`.
+_HEAVY_MODULES = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize")
+
+
+def test_cli_import_leaves_out_heavy_modules():
+    # -S: no site, so that no .pth file can import one of them first
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import heckehiggs.cli; "
+        "print(json.dumps(sorted(set(sys.argv[2:]) & set(sys.modules))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(src), *_HEAVY_MODULES],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 class TestComputeOnce:
