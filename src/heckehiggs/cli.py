@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -271,14 +272,29 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """An integer argument in the README grammar: an optional sign and ASCII
+    digits only, so `int`'s Unicode digits, underscores and whitespace are
+    usage errors."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"not an integer in ASCII digits: {text!r}")
+    try:
+        return int(text)
+    except ValueError as exc:  # past CPython's int-string digit limit
+        raise argparse.ArgumentTypeError(f"integer of {len(text)} digits is too long") from exc
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="heckehiggs",
         description="exact checks and spectral correspondence for twisted Higgs pairs",
     )
-    parser.add_argument("--sign", type=int, choices=[1, -1], default=1,
+    parser.add_argument("--sign", type=_integer, choices=[1, -1], default=1,
                         help="marked-point eigenvalue convention (default +1)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for hecke-make")
+    parser.add_argument("--seed", type=_integer, default=0, help="seed for hecke-make")
     parser.add_argument("--no-timing", action="store_true",
                         help="omit the timing field for byte-reproducible reports")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -291,9 +307,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("document", help="document with 'hecke' and 'spectral' sections")
 
     p = sub.add_parser("hecke-make")
-    p.add_argument("c", type=int)
-    p.add_argument("d", type=int)
-    p.add_argument("length", type=int)
+    p.add_argument("c", type=_integer)
+    p.add_argument("d", type=_integer)
+    p.add_argument("length", type=_integer)
     p.add_argument("--pool", default="0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15",
                    help="comma-separated rational candidates for marked points")
 

@@ -6,8 +6,11 @@ coefficients along powers of a second variable ``t``, so a bivariate
 polynomial chi(x, t) is stored as its list of t-coefficients.
 ``RationalFunction`` is the fraction field of ``UniPoly``; its one user is
 ``bipoly_gcd_t``, the Euclidean gcd in t over the function field.
-``_det_unipoly`` is a determinant over Q[x] by fraction-free elimination,
-for the commutant solve's Krylov system.  ``_power`` is the one
+``_det_unipoly`` is the determinant over Q[x] for the commutant solve's
+Krylov system: Bareiss elimination on integers, through three packing
+helpers (``_clear_row`` clears a row's denominators, ``_pack`` evaluates an
+integer coefficient list at x = 2^s, ``_unpack`` reads the signed base-2^s
+digits back).  ``_power`` is the one
 repeated-squaring loop, shared by ``UniPoly``, ``BiPoly`` and number-field
 elements.
 
@@ -25,8 +28,9 @@ takes no polynomial product or power.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import isqrt
+from math import factorial, isqrt, lcm
 
 from .errors import ParseError
 
@@ -318,32 +322,76 @@ def _fraction_sqrt(c: Fraction):
     return None
 
 
+def _clear_row(row):
+    """A row of UniPoly as integer coefficient lists, scaled by the lcm of
+    its denominators; returns (lists, lcm)."""
+    den = 1
+    for p in row:
+        for c in p.coeffs:
+            den = lcm(den, c.denominator)
+    return [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in row], den
+
+
+def _pack(coeffs, s: int) -> int:
+    """The integer coefficient list (ascending) evaluated at x = 2^s."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << s) + c
+    return value
+
+
+def _unpack(value: int, s: int) -> list:
+    """The signed base-2^s digits of `value`, ascending: the inverse of
+    `_pack` on lists whose coefficients lie strictly inside +-2^(s-1)."""
+    digits = []
+    half, mask = 1 << (s - 1), (1 << s) - 1
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << s
+        digits.append(digit)
+        value = (value - digit) >> s
+    return digits
+
+
 def _det_unipoly(rows) -> UniPoly:
-    """Fraction-free Bareiss determinant for matrices over Q[x]."""
+    """Determinant over Q[x] by Bareiss elimination on packed integers.
+
+    Each row is cleared of denominators and each entry packed at x = 2^s,
+    where 2^(s-1) exceeds n! * L^(n-1) * H^n (H the largest cleared
+    coefficient, L the longest coefficient list): that bounds every minor of
+    size <= n, so a packed pivot is zero exactly when its polynomial is.
+    Packing is a ring map Z[x] -> Z, so Bareiss's divisions stay exact; the
+    row denominators are divided out once at the end."""
     n = len(rows)
     if n == 0:
         return UniPoly.one()
-    mat = [list(row) for row in rows]
+    cleared, denominator = [], 1
+    for row in rows:
+        lists, den = _clear_row(row)
+        cleared.append(lists)
+        denominator *= den
+    height = max((abs(c) for row in cleared for cs in row for c in cs), default=0)
+    length = max(len(cs) for row in cleared for cs in row)
+    s = (factorial(n) * length ** (n - 1) * height**n).bit_length() + 1
+    mat = [[_pack(cs, s) for cs in row] for row in cleared]
     sign = 1
-    prev = UniPoly.one()
+    prev = 1
     for k in range(n - 1):
-        if mat[k][k].is_zero():
-            swap = None
-            for r in range(k + 1, n):
-                if not mat[r][k].is_zero():
-                    swap = r
-                    break
+        if not mat[k][k]:
+            swap = next((r for r in range(k + 1, n) if mat[r][k]), None)
             if swap is None:
                 return UniPoly.zero()
             mat[k], mat[swap] = mat[swap], mat[k]
             sign = -sign
+        pivot, pivot_row = mat[k][k], mat[k]
         for i in range(k + 1, n):
+            row = mat[i]
+            lead = row[k]
             for j in range(k + 1, n):
-                num = mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]
-                mat[i][j] = num.exact_div(prev)
-        prev = mat[k][k]
-    det = mat[n - 1][n - 1]
-    return det if sign == 1 else -det
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
+        prev = pivot
+    return UniPoly(Fraction(sign * c, denominator) for c in _unpack(mat[n - 1][n - 1], s))
 
 
 class BiPoly:

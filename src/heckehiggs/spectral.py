@@ -59,7 +59,6 @@ from .poly import (
 from .projline import (
     SplitBundle,
     TwistedEndo,
-    endo_scalar,
     evaluate_endo,
     require_valid_endo,
     validate_twisted_endo,
@@ -318,12 +317,21 @@ def _solve_commutant(pair: HiggsPair):
     spectral curve is known to be integral.  Then Q(x)^r is one-dimensional
     over the field Q(x)[t]/chi, so e1 is cyclic for the first component A:
     K = [e1, A e1, ..., A^(r-1) e1] is invertible, and Cramer's rule over
-    Q[x] solves K c = B e1 for the coordinates."""
+    Q[x] solves K c = B e1 for the coordinates.  K is built by r - 1
+    matrix-vector products.
+
+    Only column 0 of den*B = sum_k p_k A^k is checked, and that suffices.
+    Every caller has certified commutation (`commutant_coordinates` checks
+    it; the field of `forward_on_curve` comes from `reconstruct`), so
+    C = den*B - sum_k p_k A^k commutes with A.  C kills e1, so
+    C A^k e1 = A^k C e1 = 0 for every k: C kills the basis K, and C = 0."""
     r = pair.rank
-    powers = [endo_scalar(pair.bundle, UniPoly.one(), 0)]
+    vector = ((UniPoly.one(),),) + ((UniPoly.zero(),),) * (r - 1)  # e1, r x 1
+    vectors = [vector]
     for _ in range(1, r):
-        powers.append(pair.first * powers[-1])
-    krylov = [[power.entries[i][0] for power in powers] for i in range(r)]
+        vector = mat_mul(pair.first.entries, vector)
+        vectors.append(vector)
+    krylov = [[vector[i][0] for vector in vectors] for i in range(r)]
     den = _det_unipoly(krylov)
     if den.is_zero():
         raise NotInCommutantError(
@@ -342,14 +350,13 @@ def _solve_commutant(pair: HiggsPair):
     den = den.exact_div(scale)
     numerators = [p.exact_div(scale) for p in numerators]
     psi = BiPoly(tuple(numerators))
-    # exact re-substitution check
-    for i in range(r):
-        for j in range(r):
-            acc = UniPoly.zero()
-            for k in range(r):
-                acc = acc + numerators[k] * powers[k].entries[i][j]
-            if acc != den * pair.second.entries[i][j]:
-                raise NotInCommutantError("re-substitution check failed")
+    # the column-0 check: den * B e1 = sum_k p_k A^k e1
+    for row, b in zip(krylov, rhs):
+        acc = UniPoly.zero()
+        for p, entry in zip(numerators, row):
+            acc = acc + p * entry
+        if acc != den * b:
+            raise NotInCommutantError("column-0 check failed")
     return psi, den
 
 

@@ -459,6 +459,18 @@ class TestCriterion8GoldenRegression:
             expected = handle.read()
         assert out == expected
 
+    @pytest.mark.parametrize("name", ["rank3", "rank4", "rank4_denominator"])
+    def test_pinned_spectral_at_rank_three_and_four(self, name, capsys):
+        # the commutant solve at ranks 3 and 4, one with multiplier
+        # denominator x
+        instance = os.path.join(GOLDEN, f"{name}_instance.json")
+        code = main(["--no-timing", "spectral", instance])
+        out = capsys.readouterr().out
+        assert code == 0
+        with open(os.path.join(GOLDEN, f"{name}_expected_spectral.json")) as handle:
+            expected = handle.read()
+        assert out == expected
+
     def test_values_pinned_in_golden_file(self):
         with open(os.path.join(GOLDEN, "worked_expected_spectral.json")) as handle:
             expected = json.load(handle)

@@ -599,6 +599,50 @@ class TestFailureContract:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["--seed", "\u0661", "hecke-make", "1", "0", "2"],
+            ["--seed", "1_0", "hecke-make", "1", "0", "2"],
+            ["--sign", "-\u0661", "check", str(GOLDEN / "worked_instance.json")],
+            ["--sign", " 1", "check", str(GOLDEN / "worked_instance.json")],
+            ["hecke-make", "\u0661", "0", "2"],
+            ["hecke-make", "1", "-\u0660", "2"],
+            ["hecke-make", "1", "0", "2_0"],
+            ["hecke-make", "1", "0", "2 "],
+            ["hecke-make", "1", "0", "9" * 5000],
+        ],
+        ids=[
+            "seed-arabic-indic",
+            "seed-underscore",
+            "sign-arabic-indic",
+            "sign-space",
+            "c-arabic-indic",
+            "d-arabic-indic",
+            "length-underscore",
+            "length-space",
+            "length-too-long",
+        ],
+    )
+    def test_integers_outside_the_grammar_are_usage_errors(self, argv, capsys):
+        # every integer on the command line is [+-]?[0-9]+, as in documents
+        code, report, err = run(capsys, "--no-timing", *argv)
+        assert code == 2
+        assert report["command"] is None
+        assert report["error"]["kind"] == "input"
+        assert "usage:" not in err
+
+    @pytest.mark.parametrize(
+        "argv, sign, seed",
+        [
+            (["--sign", "-1", "--seed", "+7"], -1, 7),
+            (["--sign", "+1", "--seed", "-3"], 1, -3),
+        ],
+    )
+    def test_signed_ascii_integers_parse(self, argv, sign, seed):
+        args = cli_module._PARSER.parse_args([*argv, "hecke-make", "-2", "+0", "012"])
+        assert (args.sign, args.seed, args.c, args.d, args.length) == (sign, seed, -2, 0, 12)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["check"],
             ["hecke-make", "1", "0", "2", "--seed", "1"],
             ["--sign", "2", "check", "x"],

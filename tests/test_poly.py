@@ -1,3 +1,4 @@
+import typing
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,23 @@ def resultant_t(p: BiPoly, q: BiPoly) -> UniPoly:
     return UniPoly.zero() if rows is None else poly._det_unipoly(rows)
 
 
+def laplace_det(mat):
+    """Determinant by Laplace expansion along the first row: the oracle of
+    the fraction-free determinant.  Entries are Fractions or UniPoly; the
+    empty matrix has determinant 1."""
+    if not mat:
+        return 1
+    if len(mat) == 1:
+        return mat[0][0]
+    total = mat[0][0] * 0
+    for j, entry in enumerate(mat[0]):
+        if entry == 0:
+            continue
+        term = entry * laplace_det([row[:j] + row[j + 1 :] for row in mat[1:]])
+        total = total - term if j % 2 else total + term
+    return total
+
+
 def sylvester_det_oracle(p, q):
     """Independent resultant oracle: Laplace expansion of the Sylvester
     matrix of two ascending coefficient sequences (Fraction or UniPoly
@@ -55,26 +73,7 @@ def sylvester_det_oracle(p, q):
         return None
     if not rows:
         return Fraction(1)
-    zero = rows[0][0] * 0
-
-    def det(mat):
-        if len(mat) == 1:
-            return mat[0][0]
-        total = None
-        for j in range(len(mat)):
-            entry = mat[0][j]
-            if entry == 0:
-                continue
-            minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-            term = entry * det(minor)
-            if j % 2 == 1:
-                term = -term
-            total = term if total is None else total + term
-        if total is None:
-            return zero
-        return total
-
-    return det(rows)
+    return laplace_det(rows)
 
 
 rationals = st.fractions(
@@ -178,6 +177,86 @@ class TestResultant:
 
     def test_common_root_gives_zero(self):
         assert resultant_t(BiPoly((X**2 - 1).coeffs), BiPoly((X - 1).coeffs)) == 0
+
+
+# entries of the determinant property: coefficients up to 10^30 over
+# denominators up to 10^6, with zero entries drawn often
+wide_entries = st.one_of(
+    st.just(UniPoly.zero()),
+    st.lists(
+        st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**6)),
+        max_size=3,
+    ).map(UniPoly),
+)
+
+
+@st.composite
+def square_matrices(draw):
+    """Matrices over Q[x] of size n <= 5; one row may be zero, a copy of
+    another, or a Q[x]-combination of two others (singular).  The
+    `full-height` shape makes every coefficient +-10^30, so the determinant's
+    coefficients come near the packing bound n! * L^(n-1) * H^n."""
+    n = draw(st.integers(0, 5))
+    shape = draw(
+        st.sampled_from(["plain", "full-height", "zero-row", "repeated-row", "combination"])
+    )
+    if shape == "full-height":
+        signs = st.lists(st.sampled_from([-(10**30), 10**30]), min_size=3, max_size=3)
+        return [[UniPoly(draw(signs)) for _ in range(n)] for _ in range(n)]
+    rows = [draw(st.lists(wide_entries, min_size=n, max_size=n)) for _ in range(n)]
+    if n >= 3 and shape != "plain":
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        if shape == "zero-row":
+            rows[i] = [UniPoly.zero()] * n
+        elif shape == "repeated-row":
+            rows[i] = list(rows[j])
+        else:
+            u, v = draw(wide_entries), draw(wide_entries)
+            rows[i] = [u * a + v * b for a, b in zip(rows[j], rows[k])]
+    return rows
+
+
+# (s, digits) with every digit strictly inside +-2^(s-1)
+digit_lists = st.integers(2, 80).flatmap(
+    lambda s: st.tuples(
+        st.just(s), st.lists(st.integers(-(2 ** (s - 1) - 1), 2 ** (s - 1) - 1), max_size=8)
+    )
+)
+
+
+class TestDeterminantKernel:
+    @given(square_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_laplace_oracle(self, rows):
+        assert poly._det_unipoly(rows) == laplace_det(rows)
+
+    def test_clear_row_scales_by_the_lcm(self):
+        lists, den = poly._clear_row([UniPoly((Fraction(1, 4), Fraction(-1, 6))), UniPoly.zero()])
+        assert den == 12 and lists == [[3, -2], []]
+
+    @given(digit_lists)
+    @settings(max_examples=200)
+    def test_unpack_inverts_pack(self, case):
+        s, digits = case
+        while digits and digits[-1] == 0:
+            digits = digits[:-1]
+        assert poly._unpack(poly._pack(digits, s), s) == digits
+
+    @pytest.mark.parametrize("s", [2, 3, 8, 64, 65])
+    def test_unpack_inverts_pack_at_the_extreme_digits(self, s):
+        top = 2 ** (s - 1) - 1
+        for digits in ([top] * 5, [-top] * 5, [top, -top] * 3, [-top, 0, top], [0, 0, -top]):
+            assert poly._unpack(poly._pack(digits, s), s) == digits
+
+
+class TestAnnotations:
+    @pytest.mark.parametrize(
+        "function",
+        [UniPoly.__init__, UniPoly.interpolate, BiPoly.__init__],
+        ids=["UniPoly.__init__", "UniPoly.interpolate", "BiPoly.__init__"],
+    )
+    def test_type_hints_resolve(self, function):
+        assert typing.get_type_hints(function)
 
 
 SQRT2 = NumberField(UniPoly((-2, 0, 1)))

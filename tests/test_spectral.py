@@ -6,10 +6,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
+import heckehiggs.spectral as spectral_module
 from heckehiggs.errors import (
+    CommutationError,
     DegreeBoundError,
     EigenvalueConditionError,
     NonIntegralError,
+    NotInCommutantError,
     ValidationError,
 )
 from heckehiggs.hecke import HeckeData, HeckePoint
@@ -397,6 +400,24 @@ class TestCommutantCoordinates:
         psi, den = commutant_coordinates(pair)
         assert den == X
         assert psi == parse_bipoly("t - 1")
+
+    def test_non_cyclic_e1_is_not_in_commutant(self):
+        # e1 is an eigenvector of the first component, so the Krylov
+        # determinant det[e1, A e1] vanishes; the solve is called directly,
+        # past the integrality test that refuses this split curve
+        first = TwistedEndo(E2, 1, [[X, 1], [0, -X]])
+        with pytest.raises(NotInCommutantError):
+            spectral_module._solve_commutant(HiggsPair(E2, first, first))
+
+    def test_non_commuting_pair_refused_before_any_solve(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("reached past the commutation check")
+
+        for name in ("curve_of", "_solve_commutant", "_det_unipoly"):
+            monkeypatch.setattr(spectral_module, name, forbidden)
+        second = TwistedEndo(E2, 1, [[1, 0], [0, 0]])
+        with pytest.raises(CommutationError):
+            commutant_coordinates(HiggsPair(E2, THETA, second))
 
 
 class TestForward:
