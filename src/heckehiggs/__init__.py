@@ -55,7 +55,6 @@ from .spectral import (
     backward_correspondence,
     certify_stability,
     commutant_coordinates,
-    eigenspace_invariance,
     eigenvalue_condition,
     fiber_points,
     forward_correspondence,

@@ -28,9 +28,9 @@ from .errors import (
     ValidationError,
 )
 from .hecke import HeckeData, make_presentation, validate
-from .higgs import HiggsPair, check_commutation, check_fiber_condition, reconstruct
+from .higgs import HiggsPair, check_fiber_condition, commutator, reconstruct
 from .poly import format_unipoly, parse_fraction
-from .projline import validate_twisted_endo
+from .projline import evaluate_endo, validate_twisted_endo
 from .serialize import (
     hecke_from_json,
     hecke_to_json,
@@ -45,7 +45,6 @@ from .spectral import (
     EigenvalueVerdict,
     backward_correspondence,
     curve_of,
-    eigenspace_invariance,
     eigenvalue_condition,
     fiber_points,
     forward_on_curve,
@@ -103,9 +102,9 @@ def _fiber_table(data: HeckeData, fibers: list) -> dict:
         for point in points:
             rows.append(
                 {
-                    "minimal": format_unipoly(point.field.minimal, "t"),
+                    "minimal": format_unipoly(point.minimal, "t"),
                     "multiplicity": point.multiplicity,
-                    "degree": point.field.degree,
+                    "degree": point.minimal.degree,
                 }
             )
         table[str(p.x)] = rows
@@ -128,7 +127,7 @@ def _eigenvalue_rows(pair, curve, hecke, fiber_verdicts, sign):
             rows += eigenvalue_condition(pair, curve, single, sign)[1]
             continue
         for point in fiber_points(curve, p.x):
-            minimal = format_unipoly(point.field.minimal, "t")
+            minimal = format_unipoly(point.minimal, "t")
             ok = sign == 1 or minimal == "t"
             rows.append(EigenvalueVerdict(p.x, minimal, point.multiplicity, ok))
     return rows
@@ -151,7 +150,8 @@ def cmd_check(doc: dict, sign: int):
     structural = all(verdicts.values())
     if structural:
         pair = HiggsPair(bundle, first, second)
-        verdicts["commutation"] = check_commutation(pair)
+        comm = commutator(pair)
+        verdicts["commutation"] = comm.is_zero()
         fiber_ok, fiber_verdicts = check_fiber_condition(pair, hecke)
         verdicts["fiber"] = fiber_ok
         details["fiber"] = [
@@ -164,11 +164,13 @@ def cmd_check(doc: dict, sign: int):
             {"x": str(r.x), "minimal": r.minimal, "ok": r.ok, "note": r.note}
             for r in eig_reports
         ]
-        # commutation is exact over Q[x], so the fiber maps commute at every
-        # x0, and commuting maps preserve each other's generalized
-        # eigenspaces with commuting restrictions
+        # evaluation is a ring map, so comm(x0) is the commutator of the fiber
+        # maps.  The second preserves every generalized eigenspace of the
+        # first, with commuting restrictions, exactly when comm(x0) = 0: those
+        # eigenspaces span the fiber, and Galois conjugation carries the
+        # condition from one root of a fiber factor to all of them
         verdicts["eigenspace_invariance"] = verdicts["commutation"] or all(
-            eigenspace_invariance(pair, curve, x) for x in _SAMPLE_POINTS
+            v == 0 for x in _SAMPLE_POINTS for row in evaluate_endo(comm, x) for v in row
         )
         details["invariance_samples"] = [str(x) for x in _SAMPLE_POINTS]
     ok = all(verdicts.values())

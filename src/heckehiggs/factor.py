@@ -349,12 +349,6 @@ def _factor_primitive(f):
     return [(g, 1) for g in _zassenhaus(f, image)]
 
 
-def rational_roots(p: UniPoly):
-    """All rational roots with multiplicities, read off the linear factors."""
-    _, factors = factor_rationals(p)
-    return [(-g.coeff(0), mult) for g, mult in factors if g.degree == 1]
-
-
 def factor_rationals(p: UniPoly):
     """Full factorization over Q: returns (content, [(monic irreducible, mult)])
     with content * product(factor^mult) == p exactly, the factors sorted by

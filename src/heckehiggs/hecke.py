@@ -50,15 +50,6 @@ class HeckeData:
     def length(self) -> int:
         return len(self.points)
 
-    def marked_xs(self):
-        return tuple(p.x for p in self.points)
-
-    def scalar(self, i: int) -> Fraction:
-        """Chart matrix of the fiber map at the i-th marked point."""
-        if not 0 <= i < len(self.points):
-            raise IndexError(f"marked point index {i} out of range")
-        return self.points[i].scale
-
     def kernel_degree(self) -> int:
         """Degree of the presented bundle: a + b - (number of points)."""
         return self.a + self.b - self.length

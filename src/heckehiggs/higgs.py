@@ -5,7 +5,10 @@ components, one of twist a and one of twist b.  A pair underlies a genuine
 twisted field exactly when the two components commute and, at every marked
 point x_i, the second component's fiber map equals lambda_i times the
 first's.  ``reconstruct`` certifies both conditions and produces the
-validated field; ``decompose`` projects back to the pair.
+validated field; ``decompose`` projects back to the pair.  The backward
+spectral correspondence builds fields whose pairs satisfy both conditions
+by construction; ``field_certificate`` is the one place the certificate's
+format is written.
 """
 
 from __future__ import annotations
@@ -111,8 +114,10 @@ def ensure_consistent(pair: HiggsPair, data: HeckeData):
 class TwistedHiggsField:
     """A certified Higgs field twisted by the presented rank-2 bundle.
 
-    Only ``reconstruct`` builds these; the certificate records which checks
-    passed.  By exactness of the defining sequence the field is the unique
+    Built by ``reconstruct``, which checks both conditions, and by the
+    backward spectral correspondence, whose pairs meet them by
+    construction; the certificate, from ``field_certificate``, records that
+    they hold.  By exactness of the defining sequence the field is the unique
     preimage of its pair, so equality of fields is equality of pairs.
     """
 
@@ -156,12 +161,18 @@ def reconstruct(pair: HiggsPair, data: HeckeData) -> TwistedHiggsField:
             "fiber equation fails at " + ", ".join(str(x) for x in failing),
             points=failing,
         )
-    certificate = {
+    return TwistedHiggsField(data, pair, field_certificate(data))
+
+
+def field_certificate(data: HeckeData) -> dict:
+    """The certificate of a field on `data`: its components commute, the
+    fiber equation holds at every marked point, and the field is the unique
+    preimage of its pair."""
+    return {
         "commutation": True,
-        "fiber": [{"x": str(v.x), "ok": True} for v in verdicts],
+        "fiber": [{"x": str(p.x), "ok": True} for p in data.points],
         "unique": True,
     }
-    return TwistedHiggsField(data, pair, certificate)
 
 
 def decompose(field: TwistedHiggsField):

@@ -556,15 +556,6 @@ class BiPoly:
         """Specialize x; the result is univariate in t."""
         return UniPoly(tuple(c.evaluate(_as_fraction(x0)) for c in self.tcoeffs))
 
-    def at_t(self, value) -> UniPoly:
-        """Substitute a rational or a UniPoly in x for t."""
-        if isinstance(value, (int, Fraction)):
-            value = UniPoly.constant(value)
-        result = UniPoly.zero()
-        for c in reversed(self.tcoeffs):
-            result = result * value + c
-        return result
-
     def evaluate(self, x0, y):
         """Full evaluation; y may live in a number field."""
         spec = self.at_x(x0)

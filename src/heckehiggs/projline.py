@@ -147,19 +147,6 @@ class TwistedEndo:
         )
 
 
-def endo_scalar(source: SplitBundle, poly: UniPoly, twist: int) -> TwistedEndo:
-    """poly * identity as a twist-`twist` endomorphism."""
-    if poly.degree > twist:
-        raise ValidationError(f"degree {poly.degree} does not fit in O({twist})")
-    r = source.rank
-    z = UniPoly.zero()
-    return TwistedEndo(
-        source,
-        twist,
-        tuple(tuple(poly if i == j else z for j in range(r)) for i in range(r)),
-    )
-
-
 class EndoViolation(Record):
     """An entry whose degree exceeds its bound."""
 

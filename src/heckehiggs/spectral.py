@@ -1,4 +1,4 @@
-"""Spectral construction: the spectral curve, fiberwise eigen-analysis,
+"""Spectral construction: the spectral curve, its fibers over rational points,
 the correspondence in both directions, and the stability certificate.
 
 The spectral curve of the first component M of a pair is its characteristic
@@ -12,7 +12,14 @@ O(i*a)) are read off chi.  When chi is integral (squarefree and
 irreducible over Q(x)) the pair is equivalent to rank-1 data on the curve:
 the multiplier psi expressing the second component as a function-field
 polynomial in the first.  The backward direction realizes the structure
-module: basis 1, t, ..., t^(r-1), companion matrix, multiplication by psi.
+module: basis 1, t, ..., t^(r-1), companion matrix, multiplication by psi,
+and certifies its output by construction.
+
+The fiber of the curve above a rational point x0 is the set of irreducible
+factors p^m of chi(x0, t) over Q, each a conjugate class of points.  A
+condition at every point of a class is a polynomial identity modulo p, so
+the multiplier test is decided in Q[t].  Only `eigenvalue_condition`, the
+fiberwise oracle, adjoins a root in a number field.
 
 Sign convention: with the kernel-of-evaluation presentation used here the
 marked-point eigenvalue is +lambda_i * y.  The opposite convention (reading
@@ -39,17 +46,22 @@ from .factor import (
     irreducible_over_function_field,
 )
 from .hecke import HeckeData, HeckePoint, require_valid
-from .higgs import HiggsPair, TwistedHiggsField, check_commutation, ensure_consistent, reconstruct
+from .higgs import (
+    HiggsPair,
+    TwistedHiggsField,
+    check_commutation,
+    ensure_consistent,
+    field_certificate,
+)
 from .linalg import (
     char_poly,
     generalized_eigenspace,
     lift_matrix,
-    mat_eq,
     mat_mul,
     nilpotency_test,
     solve_right,
 )
-from .numfield import NumberField, NumberFieldElement
+from .numfield import NumberField
 from .poly import (
     BiPoly,
     UniPoly,
@@ -93,13 +105,14 @@ class SpectralCurve(Record):
 
 
 class SpectralFiberPoint(Record):
-    """One conjugate class of points of the curve above a rational base point."""
+    """One conjugate class of points of the curve above a rational base
+    point: a monic irreducible factor of chi(x0, t) over Q, whose roots are
+    the points of the class, with its exponent as multiplicity."""
 
-    __slots__ = ("field", "y", "multiplicity")
+    __slots__ = ("minimal", "multiplicity")
 
-    def __init__(self, field: NumberField, y: NumberFieldElement, multiplicity: int):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "y", y)
+    def __init__(self, minimal: UniPoly, multiplicity: int):
+        object.__setattr__(self, "minimal", minimal)
         object.__setattr__(self, "multiplicity", multiplicity)
 
 
@@ -166,66 +179,15 @@ def fiber_points(curve: SpectralCurve, x0) -> list:
     """Points of the curve above x = x0, one per conjugate class.
 
     The specialization chi(x0, t) is factored over Q; each irreducible
-    factor contributes one point whose residue field it generates, with the
-    factorization exponent as multiplicity.  Multiplicities weighted by the
-    residue degrees sum to r.
+    factor contributes one point, with the factorization exponent as
+    multiplicity.  Multiplicities weighted by the factor degrees sum to r.
+    Every fiberwise identity is decided on these factors over Q; only
+    `eigenvalue_condition` adjoins a root.
     """
-    x0 = Fraction(x0)
-    spec = curve.chi.at_x(x0)
-    _, factors = factor_rationals(spec)
-    points = []
-    total = 0
-    for minimal, mult in factors:
-        field = NumberField(minimal, trusted=True)
-        points.append(SpectralFiberPoint(field, field.generator(), mult))
-        total += mult * minimal.degree
-    if total != curve.r:
+    _, factors = factor_rationals(curve.chi.at_x(Fraction(x0)))
+    if sum(mult * minimal.degree for minimal, mult in factors) != curve.r:
         raise ValidationError("fiber multiplicities do not sum to the rank")
-    return points
-
-
-def _eigenspace_and_restriction(first_fiber, second_fiber, point: SpectralFiberPoint):
-    """Eigenspace basis (as columns) of the first fiber map at the point, and
-    the matrix of the second fiber map restricted to it (None if the space is
-    not invariant)."""
-    basis = generalized_eigenspace(first_fiber, point.y)
-    if not basis:
-        return None, None
-    cols = tuple(tuple(vec[i] for vec in basis) for i in range(len(basis[0])))
-    lifted = lift_matrix(second_fiber, point.field)
-    image = mat_mul(lifted, cols)
-    restricted = solve_right(cols, image, point.field.one())
-    return cols, restricted
-
-
-def eigenspace_invariance(pair: HiggsPair, curve: SpectralCurve, x0) -> bool:
-    """Fiberwise consequence of commutation at a base point: every
-    generalized eigenspace of the first component's fiber map is preserved by
-    the second's, and the restricted maps commute.  `curve` is the spectral
-    curve of the first component.
-
-    This is the oracle for `check`, which reads the verdict off commutation
-    and calls this only for a pair that does not commute."""
-    x0 = Fraction(x0)
-    first_fiber = evaluate_endo(pair.first, x0)
-    second_fiber = evaluate_endo(pair.second, x0)
-    for point in fiber_points(curve, x0):
-        cols, restricted_second = _eigenspace_and_restriction(
-            first_fiber, second_fiber, point
-        )
-        if restricted_second is None:
-            return False
-        lifted_first = lift_matrix(first_fiber, point.field)
-        image = mat_mul(lifted_first, cols)
-        restricted_first = solve_right(cols, image, point.field.one())
-        if restricted_first is None:
-            return False
-        if not mat_eq(
-            mat_mul(restricted_first, restricted_second),
-            mat_mul(restricted_second, restricted_first),
-        ):
-            return False
-    return True
+    return [SpectralFiberPoint(minimal, mult) for minimal, mult in factors]
 
 
 class EigenvalueVerdict(Record):
@@ -247,7 +209,8 @@ def eigenvalue_condition(
     """At each marked point and each fiber point y above it, the second
     component restricted to the generalized eigenspace of y has the single
     generalized eigenvalue sign * lambda_i * y (checked as nilpotency after
-    subtracting the scalar).  `curve` is the spectral curve of the first
+    subtracting the scalar).  y is the generator of the number field its
+    minimal polynomial presents.  `curve` is the spectral curve of the first
     component.  Returns (verdict, per-point reports).
 
     This is the oracle for `check`, which derives the rows at the points
@@ -261,40 +224,32 @@ def eigenvalue_condition(
         first_fiber = evaluate_endo(pair.first, hp.x)
         second_fiber = evaluate_endo(pair.second, hp.x)
         for point in fiber_points(curve, hp.x):
-            cols, restricted = _eigenspace_and_restriction(
-                first_fiber, second_fiber, point
-            )
+            minimal = format_unipoly(point.minimal, "t")
+            field = NumberField(point.minimal, trusted=True)
+            y = field.generator()
+            basis = generalized_eigenspace(first_fiber, y)
+            restricted = None
+            if basis:
+                cols = tuple(zip(*basis))
+                image = mat_mul(lift_matrix(second_fiber, field), cols)
+                restricted = solve_right(cols, image, field.one())
             if restricted is None:
                 all_ok = False
                 reports.append(
                     EigenvalueVerdict(
-                        hp.x,
-                        format_unipoly(point.field.minimal, "t"),
-                        point.multiplicity,
-                        False,
-                        "eigenspace not invariant",
+                        hp.x, minimal, point.multiplicity, False, "eigenspace not invariant"
                     )
                 )
                 continue
-            target = point.field.element(sign * hp.scale) * point.y
+            target = field.element(sign * hp.scale) * y
             n = len(restricted)
             shifted = tuple(
-                tuple(
-                    restricted[r][c] - (target if r == c else point.field.zero())
-                    for c in range(n)
-                )
+                tuple(restricted[r][c] - (target if r == c else field.zero()) for c in range(n))
                 for r in range(n)
             )
             ok = nilpotency_test(shifted)
             all_ok = all_ok and ok
-            reports.append(
-                EigenvalueVerdict(
-                    hp.x,
-                    format_unipoly(point.field.minimal, "t"),
-                    point.multiplicity,
-                    ok,
-                )
-            )
+            reports.append(EigenvalueVerdict(hp.x, minimal, point.multiplicity, ok))
     return all_ok, reports
 
 
@@ -322,7 +277,7 @@ def _solve_commutant(pair: HiggsPair):
 
     Only column 0 of den*B = sum_k p_k A^k is checked, and that suffices.
     Every caller has certified commutation (`commutant_coordinates` checks
-    it; the field of `forward_on_curve` comes from `reconstruct`), so
+    it; the pair of `forward_on_curve` is a certified field's), so
     C = den*B - sum_k p_k A^k commutes with A.  C kills e1, so
     C A^k e1 = A^k C e1 = 0 for every k: C kills the basis K, and C = 0."""
     r = pair.rank
@@ -365,7 +320,11 @@ def _verify_multiplier_eigenvalues(
 ):
     """psi(x_i, y)/den(x_i) = sign * lambda_i * y at every fiber point above
     each of the `marked` points; `fibers` holds the fiber points above each,
-    in order.  Collects witnesses of failure."""
+    in order.  Collects witnesses of failure.
+
+    Decided in Q[t]: the identity holds at one root y of a fiber factor p,
+    and then at all of them, exactly when p divides
+    psi(x_i, t) - sign * lambda_i * den(x_i) * t."""
     witnesses = []
     for hp, points in zip(marked, fibers):
         dval = den.evaluate(hp.x)
@@ -374,14 +333,13 @@ def _verify_multiplier_eigenvalues(
                 {"x": str(hp.x), "minimal": "", "note": "multiplier has a pole"}
             )
             continue
+        residual = psi.at_x(hp.x) - UniPoly((0, sign * hp.scale * dval))
         for point in points:
-            val = psi.evaluate(hp.x, point.y) / point.field.element(dval)
-            target = point.field.element(sign * hp.scale) * point.y
-            if val != target:
+            if residual % point.minimal:
                 witnesses.append(
                     {
                         "x": str(hp.x),
-                        "minimal": format_unipoly(point.field.minimal, "t"),
+                        "minimal": format_unipoly(point.minimal, "t"),
                         "note": "eigenvalue mismatch",
                     }
                 )
@@ -407,7 +365,7 @@ def forward_on_curve(
     """The forward correspondence once `curve`, the spectral curve of the
     field's first component, is known to be integral; `fibers` holds its
     fiber points above each marked point, in order.  Commutation needs no
-    second check: `reconstruct` certified it when it built the field."""
+    second check: every TwistedHiggsField is certified to commute."""
     psi, den = _solve_commutant(field.pair)
     witnesses = _verify_multiplier_eigenvalues(
         psi, den, field.hecke.points, fibers, sign
@@ -450,8 +408,7 @@ def backward_correspondence(
     chi, the second is multiplication by psi.  psi must be a genuine
     polynomial (denominator 1) with psi(x_i, t) = sign * lambda_i * t mod
     chi(x_i, t) at every marked point; with sign = -1 the scalars are flipped
-    before reconstruction so the output is certified under the flipped
-    presentation.
+    so the output is certified under the flipped presentation.
     """
     if sign not in (1, -1):
         raise ValidationError("sign must be +1 or -1")
@@ -478,7 +435,16 @@ def backward_on_curve(
 ) -> TwistedHiggsField:
     """The backward correspondence once the input checks of
     `backward_correspondence` hold: `data` is valid with the curve's twists,
-    the curve is integral and psi is a polynomial."""
+    the curve is integral and psi is a polynomial.
+
+    The field is certified by construction, so no commutator is formed and
+    no matrix is evaluated.  The two components are the multiplication
+    matrices of t and psi on Q[x][t]/chi, a commutative ring, so they
+    commute.  chi is monic in t, so reduction mod chi commutes with
+    specializing x: at x_i they are the multiplication matrices of t and
+    psi(x_i, t) on Q[t]/chi(x_i, t).  The congruence
+    psi(x_i, t) = sign * lambda_i * t mod chi(x_i, t), checked first, is
+    then the fiber equation second(x_i) = sign * lambda_i * first(x_i)."""
     curve = spectral.curve
     # the fiber equation in Q[t]/chi(x_i, t) implies the pointwise check at
     # every fiber point, so fibers are factored only to name a miss
@@ -523,7 +489,7 @@ def backward_on_curve(
             [HeckePoint(p.x, -p.scale) for p in data.points],
         )
     pair = HiggsPair(first.source, first, second)
-    return reconstruct(pair, target)
+    return TwistedHiggsField(target, pair, field_certificate(target))
 
 
 def certify_stability(field: TwistedHiggsField):

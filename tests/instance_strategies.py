@@ -1,8 +1,9 @@
 """Test-side instance generators and oracles: `random_valid_instance`, which
 draws certified instances by construction; the hypothesis strategies built
 on it, and single-entry perturbations of them; `perturb_second_at_point`,
-the fixed perturbation the rejection tests use; and `invariant_line_search`,
-the rank-2 reference oracle for stability."""
+the fixed perturbation the rejection tests use; `endo_scalar`, the scalar
+endomorphisms they add; and `invariant_line_search`, the rank-2 reference
+oracle for stability."""
 
 import random
 from dataclasses import dataclass
@@ -15,8 +16,21 @@ from heckehiggs.errors import ValidationError
 from heckehiggs.hecke import HeckeData, HeckePoint, require_valid
 from heckehiggs.higgs import HiggsPair, TwistedHiggsField, reconstruct
 from heckehiggs.poly import UniPoly
-from heckehiggs.projline import SplitBundle, TwistedEndo, endo_scalar
+from heckehiggs.projline import SplitBundle, TwistedEndo
 from heckehiggs.spectral import SpectralCurve
+
+
+def endo_scalar(source: SplitBundle, poly: UniPoly, twist: int) -> TwistedEndo:
+    """poly * identity as a twist-`twist` endomorphism."""
+    if poly.degree > twist:
+        raise ValidationError(f"degree {poly.degree} does not fit in O({twist})")
+    r = source.rank
+    z = UniPoly.zero()
+    return TwistedEndo(
+        source,
+        twist,
+        tuple(tuple(poly if i == j else z for j in range(r)) for i in range(r)),
+    )
 
 
 class InfeasibleBudgetError(Exception):
@@ -46,14 +60,12 @@ def random_valid_instance(
     """
     require_valid(data)
     a, b = data.a, data.b
-    xs = data.marked_xs()
+    xs = [p.x for p in data.points]
     ell = len(xs)
     rng = random.Random(rng_seed)
 
     if ell:
-        beta = UniPoly.interpolate(
-            [(x, data.scalar(i)) for i, x in enumerate(xs)]
-        )
+        beta = UniPoly.interpolate([(p.x, p.scale) for p in data.points])
         room = b - a - max(beta.degree, 0)
         if room >= ell:
             extra = _random_poly(rng, room - ell)
@@ -151,8 +163,8 @@ def instances(draw):
     bound = twists[i] - twists[j] + endo.twist
     if kind == "vanishing":
         poly = UniPoly.constant(c)
-        for x in hecke.marked_xs():
-            poly = poly * UniPoly((-x, 1))
+        for p in hecke.points:
+            poly = poly * UniPoly((-p.x, 1))
     else:
         assume(bound >= 0)
         poly = UniPoly.constant(c) * UniPoly.variable() ** draw(st.integers(0, bound))
@@ -168,7 +180,7 @@ def perturb_second_at_point(field: TwistedHiggsField, index: int, delta=1):
     at marked point `index` (used to probe rejection).  Needs the diagonal
     degree budget to accommodate a bump vanishing at the other points."""
     data = field.hecke
-    xs = data.marked_xs()
+    xs = [p.x for p in data.points]
     if not 0 <= index < len(xs):
         raise IndexError("marked point index out of range")
     bump = UniPoly.constant(delta)

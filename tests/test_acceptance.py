@@ -34,6 +34,7 @@ from instance_strategies import (
     perturb_second_at_point,
     random_valid_instance,
 )
+from oracles import at_t
 
 F = Fraction
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -113,7 +114,7 @@ class TestCriterion2EigenvalueConvention:
             has_nonzero = False
             for hp in field.hecke.points:
                 for point in fiber_points(curve, hp.x):
-                    if not point.y.is_zero():
+                    if point.minimal != UniPoly.variable():
                         has_nonzero = True
             if has_nonzero:
                 nonzero_fiber_instances += 1
@@ -306,7 +307,7 @@ def oracle_has_linear_t_factor(chi):
         root_sets.append(roots)
     for combo in itertools.product(*root_sets):
         v = UniPoly.interpolate(list(zip(points, combo)))
-        if chi.at_t(v).is_zero():
+        if at_t(chi, v).is_zero():
             return True
     return False
 

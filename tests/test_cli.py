@@ -19,8 +19,10 @@ from heckehiggs.cli import _SAMPLE_POINTS, cmd_check, main
 from heckehiggs.hecke import make_presentation
 from heckehiggs.higgs import check_commutation, check_fiber_condition
 from heckehiggs.serialize import instance_to_json
-from heckehiggs.spectral import curve_of, eigenspace_invariance, eigenvalue_condition
+from heckehiggs.numfield import NumberField
+from heckehiggs.spectral import curve_of, eigenvalue_condition
 from instance_strategies import instances
+from oracles import eigenspace_invariance
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -737,8 +739,9 @@ def test_cli_import_leaves_out_heavy_modules():
 
 class TestComputeOnce:
     """Each command derives the spectral curve, certifies its integrality and
-    forms the commutator at most once; a passing `build` factors no fiber,
-    and the commutant solve runs no linear solve over Q(x).  Counted:
+    forms the commutator at most once; a passing `build` factors no fiber
+    and forms no commutator, and the commutant solve runs no linear solve
+    over Q(x).  Counted:
     char_poly, irreducible_over_function_field, commutator, and spectral's
     fiber_points and solve_right."""
 
@@ -748,7 +751,7 @@ class TestComputeOnce:
             ("check", (1, 0, 1, 0, 0)),
             ("reconstruct", (0, 0, 1, 0, 0)),
             ("spectral", (1, 1, 1, 0, 0)),
-            ("build", (0, 1, 1, 0, 0)),
+            ("build", (0, 1, 0, 0, 0)),
         ],
     )
     def test_golden_instance(self, command, expected, tmp_path, monkeypatch, capsys):
@@ -761,9 +764,10 @@ class TestComputeOnce:
 
             return wrapper
 
-        monkeypatch.setattr(
-            higgs_module, "commutator", counting("commutator", higgs_module.commutator)
-        )
+        # `check` calls the commutator through its own binding
+        commutator = counting("commutator", higgs_module.commutator)
+        monkeypatch.setattr(higgs_module, "commutator", commutator)
+        monkeypatch.setattr(cli_module, "commutator", commutator)
         counted = ("char_poly", "irreducible_over_function_field", "fiber_points", "solve_right")
         for name in counted:
             monkeypatch.setattr(
@@ -782,6 +786,20 @@ class TestComputeOnce:
             "solve_right",
         )
         assert tuple(counts[name] for name in names) == expected
+
+
+def count_number_fields(monkeypatch) -> Counter:
+    """A counter whose "NumberField" entry counts the number fields built from
+    now until the test ends."""
+    counts = Counter()
+    init = NumberField.__init__
+
+    def counting_init(self, *args, **kwargs):
+        counts["NumberField"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NumberField, "__init__", counting_init)
+    return counts
 
 
 def _reference_check(hecke, pair, sign):
@@ -814,8 +832,10 @@ def _reference_check(hecke, pair, sign):
 
 
 class TestCheckDerivations:
-    """`check` derives eigenspace invariance from commutation and the
-    eigenvalue rows from the fiber equation; its reports match the oracles."""
+    """`check` decides eigenspace invariance from the commutator and derives
+    the eigenvalue rows from the fiber equation; its reports match the
+    number-field oracles, and where the fiber equation holds it builds no
+    number field."""
 
     @given(instances())
     @settings(max_examples=30, deadline=None)
@@ -829,19 +849,14 @@ class TestCheckDerivations:
             )
 
     def _count_check(self, path, monkeypatch, capsys):
-        counts = Counter()
+        counts = count_number_fields(monkeypatch)
+        factor_rationals = spectral_module.factor_rationals
 
-        def counting(name, module):
-            fn = getattr(module, name)
+        def wrapper(*args, **kwargs):
+            counts["factor_rationals"] += 1
+            return factor_rationals(*args, **kwargs)
 
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        counting("eigenspace_invariance", cli_module)
-        counting("factor_rationals", spectral_module)
+        monkeypatch.setattr(spectral_module, "factor_rationals", wrapper)
         code, report, _ = run(capsys, "--no-timing", "check", path)
         return code, report, counts
 
@@ -850,7 +865,7 @@ class TestCheckDerivations:
         path = str(GOLDEN / "worked_instance.json")
         code, _, counts = self._count_check(path, monkeypatch, capsys)
         assert code == 0
-        assert counts["eigenspace_invariance"] == 0
+        assert counts["NumberField"] == 0
         assert counts["factor_rationals"] == 1
 
     def test_non_commuting_document_computes_invariance(
@@ -865,4 +880,51 @@ class TestCheckDerivations:
         assert report["verdicts"]["commutation"] is False
         assert report["verdicts"]["fiber"] is True
         assert report["verdicts"]["eigenspace_invariance"] is False
-        assert counts["eigenspace_invariance"] > 0
+        assert counts["NumberField"] == 0
+
+
+GOLDEN_NAMES = ("worked", "rank3", "rank4", "rank4_denominator")
+
+
+def _golden_documents(name):
+    """A golden instance and the `build` document of its pinned spectral
+    datum."""
+    instance = json.loads((GOLDEN / f"{name}_instance.json").read_text())
+    spectral = json.loads((GOLDEN / f"{name}_expected_spectral.json").read_text())
+    return instance, {"hecke": instance["hecke"], "spectral": spectral["spectral"]}
+
+
+class TestFibersOverQ:
+    """`spectral` and `build` decide every fiberwise identity over Q: neither
+    builds a number field on a golden document, and `build` certifies its
+    output without `reconstruct` or a commutation check."""
+
+    @pytest.mark.parametrize("name", GOLDEN_NAMES)
+    def test_golden_documents_build_no_number_field(self, name, tmp_path, monkeypatch, capsys):
+        instance, build_doc = _golden_documents(name)
+        counts = count_number_fields(monkeypatch)
+        codes = [
+            main(["--no-timing", "spectral", write_doc(tmp_path, instance, "instance.json")]),
+            main(["--no-timing", "build", write_doc(tmp_path, build_doc, "build.json")]),
+        ]
+        capsys.readouterr()
+        # the multiplier of rank4_denominator is not a polynomial: build
+        # refuses it as input
+        assert codes == [0, 2 if name == "rank4_denominator" else 0]
+        assert counts["NumberField"] == 0
+
+    @pytest.mark.parametrize("name", GOLDEN_NAMES[:3])
+    def test_build_calls_no_reconstruct(self, name, tmp_path, monkeypatch, capsys):
+        calls = Counter()
+        for fn in (higgs_module.reconstruct, higgs_module.check_commutation):
+            def wrapper(*args, fn=fn, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+
+            for module in (cli_module, higgs_module, spectral_module):
+                if getattr(module, fn.__name__, None) is fn:
+                    monkeypatch.setattr(module, fn.__name__, wrapper)
+        _, build_doc = _golden_documents(name)
+        assert main(["--no-timing", "build", write_doc(tmp_path, build_doc)]) == 0
+        capsys.readouterr()
+        assert calls == Counter()

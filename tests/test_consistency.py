@@ -12,15 +12,15 @@ from heckehiggs.hecke import HeckeData, HeckePoint, h0_of_twist
 from heckehiggs.higgs import HiggsPair, check_fiber_condition
 from heckehiggs.linalg import solve_right
 from heckehiggs.poly import UniPoly
-from heckehiggs.projline import SplitBundle, TwistedEndo, endo_scalar
+from heckehiggs.projline import SplitBundle, TwistedEndo
 from heckehiggs.spectral import (
     backward_correspondence,
     curve_of,
-    eigenspace_invariance,
     forward_correspondence,
     is_integral,
 )
-from instance_strategies import random_valid_instance, valid_fields
+from instance_strategies import endo_scalar, random_valid_instance, valid_fields
+from oracles import eigenspace_invariance
 
 F = Fraction
 

@@ -11,9 +11,9 @@ from heckehiggs.factor import (
     geometric_factor_warning,
     irreducible_over_function_field,
     is_irreducible_rational,
-    rational_roots,
 )
 from heckehiggs.poly import BiPoly, UniPoly, parse_bipoly, parse_unipoly
+from oracles import rational_roots
 from test_poly import sylvester_det_oracle
 
 X = UniPoly.variable()

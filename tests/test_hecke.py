@@ -32,13 +32,6 @@ class TestValidation:
         problems = validate(H(1, 1, [(0, 0)]))
         assert any("zero scalar" in p for p in problems)
 
-    def test_scalar_accessor(self):
-        data = H(1, 1, [(0, 1), (1, F(-3, 2))])
-        assert data.scalar(0) == 1
-        assert data.scalar(1) == F(-3, 2)
-        with pytest.raises(IndexError):
-            data.scalar(2)
-
 
 class TestDegrees:
     @pytest.mark.parametrize(

@@ -9,10 +9,10 @@ from heckehiggs.poly import UniPoly
 from heckehiggs.projline import (
     SplitBundle,
     TwistedEndo,
-    endo_scalar,
     evaluate_endo,
     validate_twisted_endo,
 )
+from instance_strategies import endo_scalar
 
 X = UniPoly.variable()
 F = Fraction

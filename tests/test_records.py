@@ -8,7 +8,6 @@ import pytest
 from heckehiggs.errors import ValidationError
 from heckehiggs.hecke import HeckePoint
 from heckehiggs.higgs import FiberVerdict
-from heckehiggs.numfield import NumberField
 from heckehiggs.poly import UniPoly, parse_bipoly, parse_unipoly
 from heckehiggs.projline import EndoViolation
 from heckehiggs.spectral import (
@@ -19,7 +18,7 @@ from heckehiggs.spectral import (
 )
 
 CURVE = SpectralCurve(parse_bipoly("t^2 - x"), 1, 2)
-FIELD = NumberField(parse_unipoly("x^2 - 2"))
+MINIMAL = parse_unipoly("x^2 - 2")
 
 # per record class: its field names, and the positional arguments of two
 # records that differ
@@ -37,9 +36,9 @@ RECORDS = {
         (parse_bipoly("t^2 - x - 1"), 1, 2),
     ),
     SpectralFiberPoint: (
-        ("field", "y", "multiplicity"),
-        (FIELD, FIELD.generator(), 1),
-        (FIELD, FIELD.generator(), 2),
+        ("minimal", "multiplicity"),
+        (MINIMAL, 1),
+        (MINIMAL, 2),
     ),
     SpectralData: (
         ("curve", "psi", "psi_denominator", "b"),

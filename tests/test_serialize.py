@@ -76,7 +76,7 @@ class TestBundleJson:
 class TestInstanceDocument:
     def test_worked_document(self):
         hecke, pair, spectral = instance_from_json(WORKED)
-        assert hecke.a == 1 and hecke.scalar(0) == 1
+        assert hecke.a == 1 and hecke.points[0].scale == 1
         assert pair.first.entries[1][0] == X
         assert spectral is None
 

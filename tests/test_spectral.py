@@ -20,11 +20,12 @@ from heckehiggs.higgs import (
     HiggsPair,
     check_commutation,
     check_fiber_condition,
+    commutator,
     reconstruct,
 )
 from heckehiggs.linalg import char_poly, mat_mul
 from heckehiggs.poly import BiPoly, UniPoly, format_unipoly, parse_bipoly, parse_unipoly
-from heckehiggs.projline import SplitBundle, TwistedEndo
+from heckehiggs.projline import SplitBundle, TwistedEndo, evaluate_endo
 from heckehiggs.spectral import (
     EigenvalueVerdict,
     SpectralCurve,
@@ -33,7 +34,6 @@ from heckehiggs.spectral import (
     certify_stability,
     commutant_coordinates,
     curve_of,
-    eigenspace_invariance,
     eigenvalue_condition,
     fiber_points,
     forward_correspondence,
@@ -41,11 +41,13 @@ from heckehiggs.spectral import (
     multiplication_matrix,
 )
 from instance_strategies import (
+    SCALARS,
     instances,
     invariant_line_search,
     random_valid_instance,
     valid_fields,
 )
+from oracles import eigenspace_invariance, pointwise_multiplier_witnesses
 
 X = UniPoly.variable()
 F = Fraction
@@ -222,19 +224,20 @@ class TestFiberPoints:
         pts = fiber_points(curve_of(THETA), 0)
         assert len(pts) == 1
         assert pts[0].multiplicity == 2
-        assert pts[0].y == 0
+        assert pts[0].minimal == X
 
     def test_split(self):
         pts = fiber_points(curve_of(THETA), 1)
-        assert sorted(p.y.as_rational() for p in pts) == [-1, 1]
+        assert all(p.minimal.degree == 1 for p in pts)
+        assert sorted(-p.minimal.coeff(0) for p in pts) == [-1, 1]
         assert all(p.multiplicity == 1 for p in pts)
 
     def test_inert(self):
         pts = fiber_points(curve_of(THETA), 2)
         assert len(pts) == 1
-        assert pts[0].field.degree == 2
+        assert pts[0].minimal.degree == 2
         assert pts[0].multiplicity == 1
-        assert pts[0].field.minimal == parse_unipoly("x^2 - 2")
+        assert pts[0].minimal == parse_unipoly("x^2 - 2")
 
     def test_trace_identity(self):
         rng = random.Random(12)
@@ -247,8 +250,12 @@ class TestFiberPoints:
             curve = curve_of(endo)
             s1 = curve.char_coefficients[0]
             for x0 in (F(0), F(1), F(-2)):
+                # the roots of a monic p of degree d sum to -(t^(d-1) coefficient)
                 total = sum(
-                    (p.multiplicity * p.y.trace() for p in fiber_points(curve, x0)),
+                    (
+                        -p.multiplicity * p.minimal.coeff(p.minimal.degree - 1)
+                        for p in fiber_points(curve, x0)
+                    ),
                     F(0),
                 )
                 assert total == s1.evaluate(x0)
@@ -285,6 +292,40 @@ class TestOracleProperties:
         if check_commutation(pair):
             assert eigenspace_invariance(pair, curve_of(pair.first), x0)
 
+    @given(
+        instances(),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_invariance_is_the_commutator_rule(self, instance, x0):
+        _, pair = instance
+        vanishes = all(v == 0 for row in evaluate_endo(commutator(pair), x0) for v in row)
+        assert eigenspace_invariance(pair, curve_of(pair.first), x0) == vanishes
+
+    @given(instances(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_divisibility_witnesses_are_the_pointwise_ones(self, instance, data):
+        hecke, pair = instance
+        curve = curve_of(pair.first)
+        psi, den = BiPoly.t(), UniPoly.one()
+        if check_commutation(pair) and is_integral(curve)[0]:
+            psi, den = commutant_coordinates(pair)
+        # add c * x^i * t^k to psi, and sometimes a pole at a marked point
+        k = data.draw(st.integers(0, pair.rank - 1))
+        i = data.draw(st.integers(0, 2))
+        c = data.draw(st.sampled_from((0, 1, -1, F(1, 2))))
+        psi = psi + BiPoly((UniPoly.zero(),) * k + (c * X**i,))
+        if hecke.points and data.draw(st.booleans()):
+            den = den * UniPoly((-hecke.points[-1].x, 1))
+        fibers = [fiber_points(curve, hp.x) for hp in hecke.points]
+        for sign in (1, -1):
+            divisibility = spectral_module._verify_multiplier_eigenvalues(
+                psi, den, hecke.points, fibers, sign
+            )
+            assert divisibility == pointwise_multiplier_witnesses(
+                psi, den, curve, hecke.points, sign
+            )
+
     @given(instances())
     @settings(max_examples=30, deadline=None)
     def test_fiber_equation_decides_eigenvalue_rows(self, instance):
@@ -298,7 +339,7 @@ class TestOracleProperties:
                     continue
                 derived = []
                 for point in fiber_points(curve, p.x):
-                    minimal = format_unipoly(point.field.minimal, "t")
+                    minimal = format_unipoly(point.minimal, "t")
                     ok = sign == 1 or minimal == "t"
                     derived.append(EigenvalueVerdict(p.x, minimal, point.multiplicity, ok))
                 assert [r for r in rows if r.x == p.x] == derived
@@ -591,14 +632,9 @@ def _two_pass_witnesses(spectral, hecke, sign):
     point over number fields, then the literal identity
     psi(x_i, t) = sign * lambda_i * t, which for r >= 2 is the fiber equation
     mod chi(x_i, t) because psi has t-degree < r."""
-    pointwise = []
-    for hp in hecke.points:
-        for point in fiber_points(spectral.curve, hp.x):
-            target = point.field.element(sign * hp.scale) * point.y
-            if spectral.psi.evaluate(hp.x, point.y) != target:
-                minimal = format_unipoly(point.field.minimal, "t")
-                note = "eigenvalue mismatch"
-                pointwise.append({"x": str(hp.x), "minimal": minimal, "note": note})
+    pointwise = pointwise_multiplier_witnesses(
+        spectral.psi, spectral.psi_denominator, spectral.curve, hecke.points, sign
+    )
     if pointwise:
         return pointwise
     note = "fiber equation fails beyond the reduced points"
@@ -659,6 +695,54 @@ class TestCorrespondenceIdentities:
                 except DegreeBoundError:
                     witnesses = []
                 assert witnesses == _two_pass_witnesses(spectral, presentation, sign)
+
+
+@st.composite
+def build_inputs(draw):
+    """(spectral datum, presentation) that `build` accepts with sign +1, up to
+    the multiplier's degree bounds: a drawn monic curve chi of rank 2 or 3,
+    and psi = beta(x) t + prod_i (x - x_i) gamma(x, t) with
+    beta(x_i) = lambda_i, so that psi(x_i, t) = lambda_i t."""
+    r = draw(st.integers(2, 3))
+    a = draw(st.integers(1, 2))
+    coeffs = []
+    for k in range(r):
+        size = draw(st.integers(1, (r - k) * a + 1))
+        coeffs.append(UniPoly([F(draw(st.integers(-2, 2))) for _ in range(size)]))
+    curve = SpectralCurve(BiPoly(tuple(coeffs) + (UniPoly.one(),)), a, r)
+    assume(is_integral(curve)[0])
+    xs = draw(st.lists(st.integers(-2, 2), max_size=2, unique=True))
+    points = [HeckePoint(F(x), draw(st.sampled_from(SCALARS))) for x in xs]
+    beta = UniPoly.interpolate([(p.x, p.scale) for p in points]) if points else UniPoly.one()
+    vanishing = UniPoly.one()
+    for p in points:
+        vanishing = vanishing * UniPoly((-p.x, 1))
+    psi_coeffs = [vanishing * draw(st.sampled_from((0, 1, -1))) for _ in range(r)]
+    psi_coeffs[1] = psi_coeffs[1] + beta
+    psi = BiPoly(tuple(psi_coeffs))
+    # t has weight a, so psi fits twist b when each t^k coefficient has
+    # degree <= b - k * a
+    b = max([a] + [p.degree + k * a for k, p in enumerate(psi_coeffs) if not p.is_zero()])
+    return SpectralData(curve, psi, UniPoly.one(), b), HeckeData(a, b, points)
+
+
+class TestBuildCertifiedByConstruction:
+    """`build` certifies its output without `reconstruct`; `reconstruct`
+    accepts every field it returns, with the same certificate."""
+
+    @given(build_inputs())
+    @settings(max_examples=25, deadline=None)
+    def test_reconstruct_accepts_every_build_output(self, drawn):
+        spectral, hecke = drawn
+        flipped = HeckeData(hecke.a, hecke.b, [HeckePoint(p.x, -p.scale) for p in hecke.points])
+        for sign, presentation in ((1, hecke), (-1, flipped)):
+            try:
+                field = backward_correspondence(spectral, presentation, sign)
+            except DegreeBoundError:
+                assume(False)
+            again = reconstruct(field.pair, field.hecke)
+            assert again == field
+            assert again.certificate == field.certificate
 
 
 class TestStability:
