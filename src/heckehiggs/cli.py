@@ -117,8 +117,9 @@ def _eigenvalue_rows(pair, curve, hecke, fiber_verdicts, sign):
     Where the fiber equation second(x_i) = lambda_i * first(x_i) holds,
     second - lambda_i * y = lambda_i * (first - y) is nilpotent on the
     generalized eigenspace of each fiber point y.  So there a row is ok for
-    sign +1, and for sign -1 exactly when y = 0 (minimal polynomial t);
-    `eigenvalue_condition` runs only at the points where the equation fails.
+    sign +1, and for sign -1 exactly when y = 0 (minimal polynomial t).
+    `eigenvalue_condition` decides the rows at the points where the equation
+    fails, over Q.
     """
     rows = []
     for p, verdict in zip(hecke.points, fiber_verdicts):

@@ -2,9 +2,11 @@
 
 Matrices are tuples of tuples.  Ring entries only need the arithmetic
 dunders and equality against 0; field entries additionally need true
-division.  This covers Fraction, UniPoly, BiPoly and NumberFieldElement
-without any dispatch machinery.  No solve here runs over the function field
-Q(x): ``poly.RationalFunction`` now serves only ``poly.bipoly_gcd_t``.
+division.  This covers Fraction, UniPoly and BiPoly without any dispatch
+machinery.  No solve here runs over the function field Q(x):
+``poly.RationalFunction`` now serves only ``poly.bipoly_gcd_t``.
+`poly_at_matrix` and `semisimple_part` work on rational matrices, so the
+fiberwise checks need no number field.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ValidationError
-from .numfield import NumberFieldElement
 from .poly import BiPoly, UniPoly
 
 
@@ -46,18 +47,6 @@ def mat_eq(a, b) -> bool:
     return mat_shape(a) == mat_shape(b) and all(
         x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb)
     )
-
-
-def mat_pow(a, n: int):
-    size, size2 = mat_shape(a)
-    if size != size2:
-        raise ValidationError("matrix power requires a square matrix")
-    if n == 0:
-        raise ValidationError("mat_pow needs n >= 1 (no canonical one element)")
-    result = a
-    for _ in range(n - 1):
-        result = mat_mul(result, a)
-    return result
 
 
 def char_poly(mat) -> BiPoly:
@@ -176,56 +165,45 @@ def solve_right(mat, rhs_cols, one):
     return tuple(tuple(row) for row in sol)
 
 
-def lift_matrix(mat, field):
-    """Coerce a rational matrix into a number field."""
-    out = []
-    for row in mat:
-        new_row = []
-        for e in row:
-            if isinstance(e, NumberFieldElement):
-                if e.field != field:
-                    raise ValidationError("mixed number fields in one matrix")
-                new_row.append(e)
-            else:
-                new_row.append(field.element(e))
-        out.append(tuple(new_row))
-    return tuple(out)
-
-
-def generalized_eigenspace(mat, y):
-    """Basis of ker((M - y I)^r) over the field of y.
-
-    Rational matrices are lifted into y's number field; an empty basis means
-    y is not an eigenvalue.
-    """
-    n, m = mat_shape(mat)
-    if n != m:
-        raise ValidationError("generalized eigenspace of a non-square matrix")
-    if isinstance(y, NumberFieldElement):
-        field = y.field
-        lifted = lift_matrix(mat, field)
-        one = field.one()
-        yel = y
-    else:
-        lifted = tuple(
-            tuple(Fraction(e) if isinstance(e, int) else e for e in row)
-            for row in mat
-        )
-        one = Fraction(1)
-        yel = Fraction(y) if isinstance(y, int) else y
-    shifted = tuple(
-        tuple(lifted[i][j] - (yel if i == j else yel - yel) for j in range(n))
-        for i in range(n)
+def poly_at_matrix(p: UniPoly, mat):
+    """p(M) for a polynomial p over Q and a square rational matrix M, by
+    Horner's rule."""
+    n = len(mat)
+    out = tuple(
+        tuple(p.leading() if i == j else Fraction(0) for j in range(n)) for i in range(n)
     )
-    power = mat_pow(shifted, n) if n >= 1 else shifted
-    return kernel_basis(power, one)
+    for c in reversed(p.coeffs[:-1]):
+        out = mat_mul(out, mat)
+        out = tuple(
+            tuple(e + c if i == j else e for j, e in enumerate(row))
+            for i, row in enumerate(out)
+        )
+    return out
 
 
-def nilpotency_test(mat) -> bool:
-    """True iff M^r = 0 with r the matrix dimension."""
-    n, m = mat_shape(mat)
-    if n != m:
-        raise ValidationError("nilpotency test on a non-square matrix")
-    if n == 0:
-        return True
-    return mat_is_zero(mat_pow(mat, n))
+def semisimple_part(mat, q: UniPoly):
+    """The semisimple part S of the Jordan-Chevalley decomposition of a square
+    rational matrix M, for a squarefree q over Q that vanishes at every
+    eigenvalue of M.  Newton's iteration S <- S - q(S) q'(S)^-1 from S = M
+    (Couty, Esterle and Zarouf 2011).
+
+    Every iterate is a polynomial in M, and S - M is nilpotent, so S has the
+    eigenvalues of M and q'(S) is invertible (q is squarefree).  After k steps
+    q(S) is a multiple of q(M)^(2^k), which vanishes once 2^k >= n because
+    q(M) is nilpotent.  So S ends with q(S) = 0: semisimple, a polynomial in
+    M, and with M - S nilpotent."""
+    n = len(mat)
+    semisimple = mat
+    derivative = q.derivative()
+    for _ in range(n.bit_length() + 1):
+        value = poly_at_matrix(q, semisimple)
+        if mat_is_zero(value):
+            return semisimple
+        # q(S) and q'(S) commute, so q'(S) X = q(S) gives the step
+        step = solve_right(poly_at_matrix(derivative, semisimple), value, Fraction(1))
+        if step is None:
+            break
+        semisimple = tuple(
+            tuple(s - d for s, d in zip(rs, rd)) for rs, rd in zip(semisimple, step)
+        )
+    raise ValidationError("the matrix has an eigenvalue that is not a root of q")

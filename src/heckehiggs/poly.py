@@ -32,7 +32,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import factorial, isqrt, lcm
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 
 def _as_fraction(value) -> Fraction:
@@ -873,7 +873,16 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def format_fraction(c: Fraction) -> str:
-    return str(c)
+    """The text of a rational; past CPython's int-string digit limit, a
+    ValidationError that names the digit count."""
+    try:
+        return str(c)
+    except ValueError as exc:  # past CPython's int-string digit limit
+        n = max(abs(c.numerator), c.denominator)
+        digits = (n.bit_length() - 1) * 3 // 10  # below the count: 0.3 < log10(2)
+        while 10**digits <= n:
+            digits += 1
+        raise ValidationError(f"a coefficient of {digits} digits is too long to print") from exc
 
 
 def _format_term(c: Fraction, xe: int, te: int) -> str:
@@ -884,9 +893,9 @@ def _format_term(c: Fraction, xe: int, te: int) -> str:
         parts.insert(0, "x" if xe == 1 else f"x^{xe}")
     mag = abs(c)
     if not parts:
-        return str(mag)
+        return format_fraction(mag)
     if mag != 1:
-        parts.insert(0, str(mag))
+        parts.insert(0, format_fraction(mag))
     return "*".join(parts)
 
 

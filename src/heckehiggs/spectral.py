@@ -18,8 +18,9 @@ and certifies its output by construction.
 The fiber of the curve above a rational point x0 is the set of irreducible
 factors p^m of chi(x0, t) over Q, each a conjugate class of points.  A
 condition at every point of a class is a polynomial identity modulo p, so
-the multiplier test is decided in Q[t].  Only `eigenvalue_condition`, the
-fiberwise oracle, adjoins a root in a number field.
+the multiplier test is decided in Q[t], and `eigenvalue_condition` on the
+kernel of p at the semisimple part of the fiber map, over Q.  No number
+field is built.
 
 Sign convention: with the kernel-of-evaluation presentation used here the
 marked-point eigenvalue is +lambda_i * y.  The opposite convention (reading
@@ -55,13 +56,13 @@ from .higgs import (
 )
 from .linalg import (
     char_poly,
-    generalized_eigenspace,
-    lift_matrix,
+    kernel_basis,
+    mat_eq,
+    mat_is_zero,
     mat_mul,
-    nilpotency_test,
-    solve_right,
+    poly_at_matrix,
+    semisimple_part,
 )
-from .numfield import NumberField
 from .poly import (
     BiPoly,
     UniPoly,
@@ -181,8 +182,7 @@ def fiber_points(curve: SpectralCurve, x0) -> list:
     The specialization chi(x0, t) is factored over Q; each irreducible
     factor contributes one point, with the factorization exponent as
     multiplicity.  Multiplicities weighted by the factor degrees sum to r.
-    Every fiberwise identity is decided on these factors over Q; only
-    `eigenvalue_condition` adjoins a root.
+    Every fiberwise identity is decided on these factors over Q.
     """
     _, factors = factor_rationals(curve.chi.at_x(Fraction(x0)))
     if sum(mult * minimal.degree for minimal, mult in factors) != curve.r:
@@ -206,51 +206,61 @@ class EigenvalueVerdict(Record):
 def eigenvalue_condition(
     pair: HiggsPair, curve: SpectralCurve, data: HeckeData, sign: int = 1
 ):
-    """At each marked point and each fiber point y above it, the second
-    component restricted to the generalized eigenspace of y has the single
-    generalized eigenvalue sign * lambda_i * y (checked as nilpotency after
-    subtracting the scalar).  y is the generator of the number field its
-    minimal polynomial presents.  `curve` is the spectral curve of the first
-    component.  Returns (verdict, per-point reports).
+    """At each marked point x_i and each fiber point above it, the second
+    component restricted to the generalized eigenspace of the point has the
+    single generalized eigenvalue sign * lambda_i * y, where y is the point.
+    `curve` is the spectral curve of the first component.  Returns (verdict,
+    per-point reports).
 
-    This is the oracle for `check`, which derives the rows at the points
-    where the fiber equation holds and calls this only at the others."""
+    Decided over Q, one fiber factor p^m of chi(x_i, t) at a time.  Let A
+    and B be the fiber maps, S the semisimple part of A (A itself when every
+    m is 1) and W = ker p(S) = ker p(A)^m, the sum of the generalized
+    eigenspaces W_y of A over the roots y of p.  S is y on W_y, so the W_y
+    are the eigenspaces of S on W over the splitting field, and B preserves
+    every W_y exactly when B W is in W (p(S) B W = 0) and B commutes with S
+    on W.  Otherwise the row is "eigenspace not invariant".  If it holds,
+    B - sign * lambda_i * S is B - sign * lambda_i * y on each W_y, so it is
+    nilpotent on W exactly when B has the single eigenvalue
+    sign * lambda_i * y on every W_y.  A and B are rational, so Galois
+    conjugation carries each condition from one root of p to all of them,
+    and the row states it for each.
+
+    `check` derives the rows at the points where the fiber equation holds
+    and calls this only at the others."""
     if sign not in (1, -1):
         raise ValidationError("sign must be +1 or -1")
     ensure_consistent(pair, data)
     reports = []
-    all_ok = True
     for hp in data.points:
         first_fiber = evaluate_endo(pair.first, hp.x)
         second_fiber = evaluate_endo(pair.second, hp.x)
-        for point in fiber_points(curve, hp.x):
+        points = fiber_points(curve, hp.x)
+        semisimple = first_fiber
+        if any(point.multiplicity > 1 for point in points):
+            squarefree = UniPoly.one()
+            for point in points:
+                squarefree = squarefree * point.minimal
+            semisimple = semisimple_part(first_fiber, squarefree)
+        target = sign * hp.scale
+        shifted = tuple(
+            tuple(b - target * s for b, s in zip(row_b, row_s))
+            for row_b, row_s in zip(second_fiber, semisimple)
+        )
+        for point in points:
+            annihilator = poly_at_matrix(point.minimal, semisimple)
+            basis = tuple(zip(*kernel_basis(annihilator, Fraction(1))))  # columns span W
+            image = mat_mul(second_fiber, basis)
+            ok, note = False, "eigenspace not invariant"
+            if mat_is_zero(mat_mul(annihilator, image)) and mat_eq(
+                mat_mul(semisimple, image), mat_mul(second_fiber, mat_mul(semisimple, basis))
+            ):
+                # nilpotent on W: dim W applications of it kill W
+                for _ in range(len(basis[0])):
+                    basis = mat_mul(shifted, basis)
+                ok, note = mat_is_zero(basis), ""
             minimal = format_unipoly(point.minimal, "t")
-            field = NumberField(point.minimal, trusted=True)
-            y = field.generator()
-            basis = generalized_eigenspace(first_fiber, y)
-            restricted = None
-            if basis:
-                cols = tuple(zip(*basis))
-                image = mat_mul(lift_matrix(second_fiber, field), cols)
-                restricted = solve_right(cols, image, field.one())
-            if restricted is None:
-                all_ok = False
-                reports.append(
-                    EigenvalueVerdict(
-                        hp.x, minimal, point.multiplicity, False, "eigenspace not invariant"
-                    )
-                )
-                continue
-            target = field.element(sign * hp.scale) * y
-            n = len(restricted)
-            shifted = tuple(
-                tuple(restricted[r][c] - (target if r == c else field.zero()) for c in range(n))
-                for r in range(n)
-            )
-            ok = nilpotency_test(shifted)
-            all_ok = all_ok and ok
-            reports.append(EigenvalueVerdict(hp.x, minimal, point.multiplicity, ok))
-    return all_ok, reports
+            reports.append(EigenvalueVerdict(hp.x, minimal, point.multiplicity, ok, note))
+    return all(report.ok for report in reports), reports
 
 
 def commutant_coordinates(pair: HiggsPair):

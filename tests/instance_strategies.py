@@ -2,8 +2,9 @@
 draws certified instances by construction; the hypothesis strategies built
 on it, and single-entry perturbations of them; `perturb_second_at_point`,
 the fixed perturbation the rejection tests use; `endo_scalar`, the scalar
-endomorphisms they add; and `invariant_line_search`, the rank-2 reference
-oracle for stability."""
+endomorphisms they add; `fiber_pairs`, pairs whose fiber at a marked point
+has a prescribed block structure; and `invariant_line_search`, the rank-2
+reference oracle for stability."""
 
 import random
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from hypothesis import assume
 from heckehiggs.errors import ValidationError
 from heckehiggs.hecke import HeckeData, HeckePoint, require_valid
 from heckehiggs.higgs import HiggsPair, TwistedHiggsField, reconstruct
+from heckehiggs.linalg import mat_mul, solve_right
 from heckehiggs.poly import UniPoly
 from heckehiggs.projline import SplitBundle, TwistedEndo
 from heckehiggs.spectral import SpectralCurve
@@ -173,6 +175,104 @@ def instances(draw):
     if kind == "first":
         return hecke, HiggsPair(pair.bundle, bumped, pair.second)
     return hecke, HiggsPair(pair.bundle, pair.first, bumped)
+
+
+# irreducible over Q; two of them, so that a draw often repeats one
+QUADRATICS = (UniPoly((-2, 0, 1)), UniPoly((1, 0, 1)))
+
+
+def companion(p: UniPoly):
+    """The companion matrix of a monic quadratic p: its char poly is p."""
+    return ((Fraction(0), -p.coeff(0)), (Fraction(1), -p.coeff(1)))
+
+
+def block_diagonal(blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(row)] = row
+        at += len(b)
+    return tuple(tuple(row) for row in out)
+
+
+def _fiber_block(draw):
+    """(semisimple, nilpotent) parts of one Jordan-type block: a rational
+    eigenvalue, a rational Jordan block, the companion block of an
+    irreducible quadratic, or the quadratic Jordan block [[C, I], [0, C]]."""
+    kind = draw(st.sampled_from(("rational", "jordan", "quadratic", "quadratic_jordan")))
+    if kind in ("rational", "jordan"):
+        c = Fraction(draw(st.sampled_from((0, 1, -1))))
+        k = 1 if kind == "rational" else draw(st.integers(2, 3))
+        semisimple = tuple(tuple(c if i == j else Fraction(0) for j in range(k)) for i in range(k))
+        nilpotent = tuple(tuple(Fraction(int(j == i + 1)) for j in range(k)) for i in range(k))
+        return semisimple, nilpotent
+    c = companion(draw(st.sampled_from(QUADRATICS)))
+    if kind == "quadratic":
+        return c, ((Fraction(0),) * 2,) * 2
+    nilpotent = tuple(tuple(Fraction(int(j == i + 2)) for j in range(4)) for i in range(4))
+    return block_diagonal([c, c]), nilpotent
+
+
+def _matrix_plus(a, b, scale=1):
+    return tuple(tuple(x + scale * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+@st.composite
+def fiber_pairs(draw):
+    """(hecke, pair, kind): a pair of constant maps A = P J P^-1 and
+    B = P M P^-1 on O^r, twist 1, with one marked point at x = 0.
+
+    J = J_s + N is block-diagonal with blocks from `_fiber_block`, of rank at
+    most 5, so chi(0, t) has repeated rational and quadratic factors.  M is,
+    by `kind`: "scaled", mu * J_s + beta * N, which keeps every generalized
+    eigenspace of A; "bumped", the same with one entry changed; "mixing",
+    lambda * J + D with D = diag(1, -1, 1, ...), which keeps each kernel W of
+    p(A)^m but not the conjugate eigenspaces inside a quadratic W (J holds at
+    least one quadratic block then); "random", small integers."""
+    kind = draw(st.sampled_from(("scaled", "bumped", "mixing", "random")))
+    blocks = [_fiber_block(draw) for _ in range(draw(st.integers(1, 3)))]
+    if kind == "mixing":
+        blocks.insert(0, (companion(draw(st.sampled_from(QUADRATICS))), ((Fraction(0),) * 2,) * 2))
+    semisimple = block_diagonal([s for s, _ in blocks])
+    nilpotent = block_diagonal([n for _, n in blocks])
+    r = len(semisimple)
+    assume(r <= 5)
+    small = st.integers(-1, 1).map(Fraction)
+    lower = tuple(
+        tuple(Fraction(int(i == j)) if j >= i else draw(small) for j in range(r)) for i in range(r)
+    )
+    upper = tuple(
+        tuple(Fraction(int(i == j)) if j <= i else draw(small) for j in range(r)) for i in range(r)
+    )
+    p = mat_mul(lower, upper)
+    identity = tuple(tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r))
+    p_inv = solve_right(p, identity, Fraction(1))
+    jordan = _matrix_plus(semisimple, nilpotent)
+    scale = draw(st.sampled_from(SCALARS))
+    if kind in ("scaled", "bumped"):
+        mu = draw(st.sampled_from((scale, -scale, Fraction(2))))
+        m = _matrix_plus(tuple(tuple(mu * e for e in row) for row in semisimple), nilpotent,
+                         draw(st.integers(-1, 1)))
+        if kind == "bumped":
+            i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+            rows = [list(row) for row in m]
+            rows[i][j] += draw(st.sampled_from((1, -1)))
+            m = tuple(tuple(row) for row in rows)
+    elif kind == "mixing":
+        d = tuple(tuple(Fraction((-1) ** i) if i == j else Fraction(0) for j in range(r))
+                  for i in range(r))
+        m = _matrix_plus(tuple(tuple(scale * e for e in row) for row in jordan), d)
+    else:
+        m = tuple(tuple(Fraction(draw(st.integers(-2, 2))) for _ in range(r)) for _ in range(r))
+    bundle = SplitBundle((0,) * r)
+
+    def endo(fiber):
+        return TwistedEndo(bundle, 1, mat_mul(mat_mul(p, fiber), p_inv))
+
+    hecke = HeckeData(1, 1, [HeckePoint(Fraction(0), scale)])
+    return hecke, HiggsPair(bundle, endo(jordan), endo(m)), kind
 
 
 def perturb_second_at_point(field: TwistedHiggsField, index: int, delta=1):

@@ -1,15 +1,51 @@
 """Test-side reference implementations: the pointwise number-field forms of
-the fiberwise checks the certifier decides over Q, and small algebra helpers
-only the tests use."""
+the fiberwise checks the certifier decides over Q, the number-field linear
+algebra they run on, and small algebra helpers only the tests use."""
 
 from fractions import Fraction
 
+from heckehiggs.errors import ValidationError
 from heckehiggs.factor import factor_rationals
-from heckehiggs.linalg import generalized_eigenspace, lift_matrix, mat_eq, mat_mul, solve_right
-from heckehiggs.numfield import NumberField
+from heckehiggs.higgs import ensure_consistent
+from heckehiggs.linalg import kernel_basis, mat_eq, mat_is_zero, mat_mul, solve_right
+from heckehiggs.numfield import NumberField, NumberFieldElement
 from heckehiggs.poly import UniPoly, format_unipoly
 from heckehiggs.projline import evaluate_endo
-from heckehiggs.spectral import fiber_points
+from heckehiggs.spectral import EigenvalueVerdict, fiber_points
+
+
+def _mat_pow(mat, n: int):
+    result = mat
+    for _ in range(n - 1):
+        result = mat_mul(result, mat)
+    return result
+
+
+def lift_matrix(mat, field):
+    """Coerce a rational matrix into a number field."""
+    return tuple(tuple(field.element(e) for e in row) for row in mat)
+
+
+def generalized_eigenspace(mat, y):
+    """Basis of ker((M - y I)^r) over the field of y, a rational or a
+    number-field element; rational matrices are lifted into y's field.  An
+    empty basis means y is not an eigenvalue."""
+    n = len(mat)
+    if isinstance(y, NumberFieldElement):
+        mat = lift_matrix(mat, y.field)
+        one = y.field.one()
+    else:
+        mat = tuple(tuple(Fraction(e) for e in row) for row in mat)
+        one = Fraction(1)
+    shifted = tuple(
+        tuple(mat[i][j] - (y if i == j else 0) for j in range(n)) for i in range(n)
+    )
+    return kernel_basis(_mat_pow(shifted, n), one)
+
+
+def nilpotency_test(mat) -> bool:
+    """True iff M^r = 0 with r the matrix dimension."""
+    return not mat or mat_is_zero(_mat_pow(mat, len(mat)))
 
 
 def _restriction(fiber, cols, field):
@@ -42,6 +78,44 @@ def eigenspace_invariance(pair, curve, x0) -> bool:
         ):
             return False
     return True
+
+
+def eigenvalue_condition(pair, curve, data, sign=1):
+    """`spectral.eigenvalue_condition` at one root y per fiber factor,
+    adjoined in its number field: the second fiber map on the generalized
+    eigenspace of y must be invariant there and have the single generalized
+    eigenvalue sign * lambda_i * y.  Same rows and notes."""
+    if sign not in (1, -1):
+        raise ValidationError("sign must be +1 or -1")
+    ensure_consistent(pair, data)
+    reports = []
+    for hp in data.points:
+        first_fiber = evaluate_endo(pair.first, hp.x)
+        second_fiber = evaluate_endo(pair.second, hp.x)
+        for point in fiber_points(curve, hp.x):
+            minimal = format_unipoly(point.minimal, "t")
+            field = NumberField(point.minimal, trusted=True)
+            y = field.generator()
+            basis = generalized_eigenspace(first_fiber, y)
+            restricted = None
+            if basis:
+                restricted = _restriction(second_fiber, tuple(zip(*basis)), field)
+            if restricted is None:
+                reports.append(
+                    EigenvalueVerdict(
+                        hp.x, minimal, point.multiplicity, False, "eigenspace not invariant"
+                    )
+                )
+                continue
+            target = field.element(sign * hp.scale) * y
+            n = len(restricted)
+            shifted = tuple(
+                tuple(restricted[r][c] - (target if r == c else field.zero()) for c in range(n))
+                for r in range(n)
+            )
+            ok = nilpotency_test(shifted)
+            reports.append(EigenvalueVerdict(hp.x, minimal, point.multiplicity, ok))
+    return all(r.ok for r in reports), reports
 
 
 def pointwise_multiplier_witnesses(psi, den, curve, marked, sign):

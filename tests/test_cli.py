@@ -1,4 +1,5 @@
 import argparse
+import ast
 import io
 import json
 import subprocess
@@ -14,15 +15,16 @@ from hypothesis import given, settings
 import heckehiggs.cli as cli_module
 import heckehiggs.hecke as hecke_module
 import heckehiggs.higgs as higgs_module
+import heckehiggs.linalg as linalg_module
 import heckehiggs.spectral as spectral_module
 from heckehiggs.cli import _SAMPLE_POINTS, cmd_check, main
 from heckehiggs.hecke import make_presentation
 from heckehiggs.higgs import check_commutation, check_fiber_condition
 from heckehiggs.serialize import instance_to_json
 from heckehiggs.numfield import NumberField
-from heckehiggs.spectral import curve_of, eigenvalue_condition
+from heckehiggs.spectral import curve_of
 from instance_strategies import instances
-from oracles import eigenspace_invariance
+from oracles import eigenspace_invariance, eigenvalue_condition
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -447,6 +449,21 @@ class TestFailureContract:
             assert code in (0, 1, 2)
             assert isinstance(json.loads(out.getvalue()), dict)
 
+    def test_coefficient_past_the_digit_limit_is_an_input_error(self, tmp_path, capsys):
+        # chi = t^2 - N^2 x has a 6000-digit coefficient, past CPython's
+        # int-string limit; `check` prints no coefficient, `spectral` prints chi
+        n = "9" * 3000
+        doc = json.loads(json.dumps(WORKED))
+        for key in ("Theta", "ThetaPrime"):
+            doc[key]["entries"] = [["0", n], [n + "*x", "0"]]
+        path = write_doc(tmp_path, doc)
+        assert run(capsys, "--no-timing", "check", path)[0] == 0
+        code, report, err = run(capsys, "--no-timing", "spectral", path)
+        assert code == 2
+        message = "a coefficient of 6000 digits is too long to print"
+        assert report["error"] == {"kind": "input", "message": message}
+        assert err == f"input error: {message}\n"
+
     @pytest.mark.parametrize("command", ["check", "spectral"])
     def test_rank_nine_is_decided(self, command, tmp_path, capsys):
         # the factorizer has no degree limit: the fiber t^9 - 2 at x = 0
@@ -740,10 +757,10 @@ def test_cli_import_leaves_out_heavy_modules():
 class TestComputeOnce:
     """Each command derives the spectral curve, certifies its integrality and
     forms the commutator at most once; a passing `build` factors no fiber
-    and forms no commutator, and the commutant solve runs no linear solve
-    over Q(x).  Counted:
-    char_poly, irreducible_over_function_field, commutator, and spectral's
-    fiber_points and solve_right."""
+    and forms no commutator, and no command runs a linear solve (the
+    commutant solve is Cramer's rule over Q[x]).  Counted:
+    char_poly, irreducible_over_function_field, commutator, spectral's
+    fiber_points, and linalg's solve_right."""
 
     @pytest.mark.parametrize(
         "command, expected",
@@ -768,11 +785,14 @@ class TestComputeOnce:
         commutator = counting("commutator", higgs_module.commutator)
         monkeypatch.setattr(higgs_module, "commutator", commutator)
         monkeypatch.setattr(cli_module, "commutator", commutator)
-        counted = ("char_poly", "irreducible_over_function_field", "fiber_points", "solve_right")
+        counted = ("char_poly", "irreducible_over_function_field", "fiber_points")
         for name in counted:
             monkeypatch.setattr(
                 spectral_module, name, counting(name, getattr(spectral_module, name))
             )
+        monkeypatch.setattr(
+            linalg_module, "solve_right", counting("solve_right", linalg_module.solve_right)
+        )
         path = str(GOLDEN / "worked_instance.json")
         if command == "build":
             path = write_doc(tmp_path, _golden_build_doc())
@@ -882,6 +902,25 @@ class TestCheckDerivations:
         assert report["verdicts"]["eigenspace_invariance"] is False
         assert counts["NumberField"] == 0
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_failed_fiber_equation_builds_no_number_field(
+        self, sign, tmp_path, monkeypatch, capsys
+    ):
+        # at x = 2 the fiber is the irreducible quadratic t^2 - 2, and
+        # 2 * Theta misses the fiber equation there: its rows are decided
+        doc = json.loads(json.dumps(WORKED))
+        doc["hecke"]["points"] = [{"x": "2", "lambda": "1"}]
+        doc["ThetaPrime"]["entries"] = [["0", "2"], ["2*x", "0"]]
+        path = write_doc(tmp_path, doc)
+        counts = count_number_fields(monkeypatch)
+        code, report, _ = run(capsys, "--no-timing", "--sign", str(sign), "check", path)
+        assert code == 1
+        assert report["verdicts"]["fiber"] is False
+        assert report["details"]["eigenvalue"] == [
+            {"x": "2", "minimal": "t^2 - 2", "ok": False, "note": ""}
+        ]
+        assert counts["NumberField"] == 0
+
 
 GOLDEN_NAMES = ("worked", "rank3", "rank4", "rank4_denominator")
 
@@ -928,3 +967,19 @@ class TestFibersOverQ:
         assert main(["--no-timing", "build", write_doc(tmp_path, build_doc)]) == 0
         capsys.readouterr()
         assert calls == Counter()
+
+    def test_only_the_package_namespace_imports_numfield(self):
+        # the public namespace re-exports NumberField; no computation uses it
+        package = Path(__file__).resolve().parent.parent / "src" / "heckehiggs"
+        importers = set()
+        for path in package.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [alias.name for alias in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                if any("numfield" in name.split(".") for name in names):
+                    importers.add(path.name)
+        assert importers - {"numfield.py"} == {"__init__.py"}

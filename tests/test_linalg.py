@@ -5,17 +5,19 @@ import pytest
 
 from heckehiggs.linalg import (
     char_poly,
-    generalized_eigenspace,
     kernel_basis,
     mat_eq,
     mat_is_zero,
     mat_mul,
-    nilpotency_test,
+    poly_at_matrix,
+    semisimple_part,
     solve_right,
 )
+from heckehiggs.errors import ValidationError
 from heckehiggs.numfield import NumberField
 from heckehiggs.factor import factor_rationals
 from heckehiggs.poly import BiPoly, UniPoly, parse_bipoly
+from oracles import generalized_eigenspace, nilpotency_test
 
 X = UniPoly.variable()
 F = Fraction
@@ -166,6 +168,64 @@ class TestGeneralizedEigenspace:
                     basis = generalized_eigenspace(mat, field.generator())
                     total += len(basis) * minimal.degree
                 assert total == n
+
+
+class TestSemisimplePart:
+    def test_poly_at_matrix_is_cayley_hamilton(self):
+        mat = ((F(1), F(2), F(0)), (F(-1), F(0), F(3)), (F(2), F(1), F(1)))
+        chi = char_poly(tuple(tuple(UniPoly.constant(e) for e in row) for row in mat))
+        spec = UniPoly(tuple(c.coeff(0) for c in chi.tcoeffs))
+        assert mat_is_zero(poly_at_matrix(spec, mat))
+        assert poly_at_matrix(UniPoly((3,)), mat) == tuple(
+            tuple(F(3) if i == j else F(0) for j in range(3)) for i in range(3)
+        )
+
+    def test_quadratic_jordan_block(self):
+        # [[C, I], [0, C]] with C the companion of t^2 - 2: S = diag(C, C)
+        mat = (
+            (F(0), F(2), F(1), F(0)),
+            (F(1), F(0), F(0), F(1)),
+            (F(0), F(0), F(0), F(2)),
+            (F(0), F(0), F(1), F(0)),
+        )
+        expected = (
+            (F(0), F(2), F(0), F(0)),
+            (F(1), F(0), F(0), F(0)),
+            (F(0), F(0), F(0), F(2)),
+            (F(0), F(0), F(1), F(0)),
+        )
+        assert semisimple_part(mat, UniPoly((-2, 0, 1))) == expected
+
+    def test_semisimple_matrix_is_its_own_part(self):
+        mat = ((F(0), F(2)), (F(1), F(0)))
+        assert semisimple_part(mat, UniPoly((-2, 0, 1))) == mat
+
+    def test_decomposition_of_random_matrices(self):
+        # conjugates of Jordan matrices with repeated eigenvalues 0, 1, 2
+        rng = random.Random(5)
+        for _ in range(12):
+            n = rng.randint(2, 5)
+            jordan = [[F(0)] * n for _ in range(n)]
+            for i in range(n):
+                jordan[i][i] = F(rng.choice((0, 1, 2)))
+                if i and jordan[i][i] == jordan[i - 1][i - 1]:
+                    jordan[i - 1][i] = F(rng.randint(0, 1))
+            lower = [[F(int(i == j)) if j >= i else F(rng.randint(-1, 1)) for j in range(n)]
+                     for i in range(n)]
+            p = mat_mul(lower, tuple(zip(*lower)))
+            identity = tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
+            mat = mat_mul(mat_mul(p, jordan), solve_right(p, identity, F(1)))
+            q = UniPoly((0, 1)) * UniPoly((-1, 1)) * UniPoly((-2, 1))
+            s = semisimple_part(mat, q)
+            assert mat_is_zero(poly_at_matrix(q, s))
+            assert mat_eq(mat_mul(s, mat), mat_mul(mat, s))
+            nilpotent = tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(mat, s))
+            assert nilpotency_test(nilpotent)
+
+    def test_eigenvalue_off_q_is_refused(self):
+        # 0 is no root of t^2 - 2, and q'(0) = 0 stops the step
+        with pytest.raises(ValidationError):
+            semisimple_part(((F(0), F(0)), (F(0), F(0))), UniPoly((-2, 0, 1)))
 
 
 class TestNilpotency:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from heckehiggs import poly
-from heckehiggs.errors import ParseError
+from heckehiggs.errors import ParseError, ValidationError
 from heckehiggs.numfield import NumberField, NumberFieldElement
 from heckehiggs.poly import (
     BiPoly,
@@ -377,6 +377,16 @@ class TestGrammar:
 
     def test_whitespace_insensitive(self):
         assert parse_bipoly("t^2-x") == parse_bipoly(" t^2  -  x ")
+
+    @pytest.mark.parametrize(
+        "value, digits",
+        [(10**4300, 4301), (Fraction(1, 10**4400 - 1), 4400), (-(10**5000) - 1, 5001)],
+        ids=["power-of-ten", "denominator", "negative"],
+    )
+    def test_coefficient_past_the_digit_limit_is_refused(self, value, digits):
+        # CPython prints integers of at most 4300 digits
+        with pytest.raises(ValidationError, match=f"^a coefficient of {digits} digits "):
+            format_unipoly(UniPoly((1, value)))
 
     @pytest.mark.parametrize("bad", ["t^^2", "", "t^", "1//2", "x+*3", "y", "x**2", "^2"])
     def test_malformed(self, bad):

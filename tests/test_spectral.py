@@ -41,13 +41,18 @@ from heckehiggs.spectral import (
     multiplication_matrix,
 )
 from instance_strategies import (
+    QUADRATICS,
     SCALARS,
+    block_diagonal,
+    companion,
+    fiber_pairs,
     instances,
     invariant_line_search,
     random_valid_instance,
     valid_fields,
 )
 from oracles import eigenspace_invariance, pointwise_multiplier_witnesses
+from oracles import eigenvalue_condition as oracle_eigenvalue_condition
 
 X = UniPoly.variable()
 F = Fraction
@@ -345,6 +350,37 @@ class TestOracleProperties:
                 assert [r for r in rows if r.x == p.x] == derived
 
 
+    @given(fiber_pairs())
+    @settings(max_examples=80, deadline=None)
+    def test_eigenvalue_rows_are_the_oracle_rows(self, drawn):
+        hecke, pair, kind = drawn
+        curve = curve_of(pair.first)
+        quadratics = {format_unipoly(p, "t") for p in QUADRATICS}
+        for sign in (1, -1):
+            verdict, rows = eigenvalue_condition(pair, curve, hecke, sign)
+            assert (verdict, rows) == oracle_eigenvalue_condition(pair, curve, hecke, sign)
+            if kind == "mixing":
+                # B keeps W but swaps nothing into place: no quadratic row is
+                # invariant
+                assert any(r.minimal in quadratics for r in rows)
+                for r in rows:
+                    if r.minimal in quadratics:
+                        assert (r.ok, r.note) == (False, "eigenspace not invariant")
+
+
+def _constant_pair(first, second):
+    """The pair of constant fiber maps `first` and `second` on O^r, twist 1."""
+    bundle = SplitBundle((0,) * len(first))
+    return HiggsPair(bundle, TwistedEndo(bundle, 1, first), TwistedEndo(bundle, 1, second))
+
+
+def _scaled(c, mat):
+    return tuple(tuple(c * e for e in row) for row in mat)
+
+
+SQRT2 = companion(QUADRATICS[0])  # t^2 - 2
+
+
 class TestEigenvalueCondition:
     def test_worked_instance(self):
         ok, reports = eigenvalue_condition(
@@ -388,6 +424,75 @@ class TestEigenvalueCondition:
     def test_invalid_sign_rejected(self):
         with pytest.raises(ValidationError):
             eigenvalue_condition(HiggsPair(E2, THETA, THETA), curve_of(THETA), H_ONE, 2)
+
+    def _rows(self, first, second, scale, sign):
+        """The rows at x = 0 with lambda = scale; the number-field oracle
+        must agree."""
+        pair = _constant_pair(first, second)
+        data = HeckeData(1, 1, [HeckePoint(F(0), F(scale))])
+        curve = curve_of(pair.first)
+        result = eigenvalue_condition(pair, curve, data, sign)
+        assert result == oracle_eigenvalue_condition(pair, curve, data, sign)
+        return [(r.minimal, r.multiplicity, r.ok, r.note) for r in result[1]]
+
+    def test_rational_jordan_block(self):
+        jordan = ((F(1), F(1)), (F(0), F(1)))
+        assert self._rows(jordan, _scaled(2, jordan), 2, 1) == [("t - 1", 2, True, "")]
+        assert self._rows(jordan, _scaled(2, jordan), 2, -1) == [("t - 1", 2, False, "")]
+
+    def test_repeated_quadratic_blocks(self):
+        # (t^2 - 2)^2 with A = diag(C, C) semisimple; B = 3A + N with N
+        # carrying the first block to the second, which commutes with A
+        first = block_diagonal([SQRT2, SQRT2])
+        shift = tuple(tuple(F(int(j == i + 2)) for j in range(4)) for i in range(4))
+        second = tuple(
+            tuple(3 * a + n for a, n in zip(ra, rn)) for ra, rn in zip(first, shift)
+        )
+        assert self._rows(first, second, 3, 1) == [("t^2 - 2", 2, True, "")]
+        assert self._rows(first, second, -3, 1) == [("t^2 - 2", 2, False, "")]
+
+    def test_quadratic_jordan_block(self):
+        # A = [[C, I], [0, C]] is not semisimple: S = diag(C, C) comes from
+        # the Newton step, and B - 3S is nilpotent for B = 3A and for
+        # B = [[3C, 0], [I, 3C]], which commutes with S but not with A and
+        # does not keep ker p(A)
+        semisimple = block_diagonal([SQRT2, SQRT2])
+        first = tuple(
+            tuple(c + F(int(j == i + 2)) for j, c in enumerate(row))
+            for i, row in enumerate(semisimple)
+        )
+        assert self._rows(first, _scaled(3, first), 3, 1) == [("t^2 - 2", 2, True, "")]
+        lower = tuple(
+            tuple(3 * c + F(int(i == j + 2)) for j, c in enumerate(row))
+            for i, row in enumerate(semisimple)
+        )
+        assert self._rows(first, lower, 3, 1) == [("t^2 - 2", 2, True, "")]
+        plus_one = tuple(
+            tuple(3 * c + F(int(i == j)) for j, c in enumerate(row)) for i, row in enumerate(first)
+        )
+        assert self._rows(first, plus_one, 3, 1) == [("t^2 - 2", 2, False, "")]
+
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_mixing_the_conjugate_eigenspaces_is_not_invariant(self, copies):
+        # B keeps W = Q^(2 copies) but does not commute with A there, so it
+        # does not keep the eigenspaces of sqrt 2 and -sqrt 2
+        first = block_diagonal([SQRT2] * copies)
+        second = tuple(
+            tuple(F((-1) ** i) if i == j else F(0) for j in range(2 * copies))
+            for i in range(2 * copies)
+        )
+        assert self._rows(first, second, 1, 1) == [
+            ("t^2 - 2", copies, False, "eigenspace not invariant")
+        ]
+
+    def test_image_leaving_the_eigenspace_is_not_invariant(self):
+        first = ((F(1), F(0)), (F(0), F(2)))
+        swap = ((F(0), F(1)), (F(1), F(0)))
+        note = "eigenspace not invariant"
+        assert self._rows(first, swap, 1, 1) == [
+            ("t - 2", 1, False, note),
+            ("t - 1", 1, False, note),
+        ]
 
 
 class TestCommutantCoordinates:
