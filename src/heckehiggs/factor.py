@@ -16,16 +16,18 @@ limit and no step factors a coefficient; only the recombination is
 exponential, in the number of factors modulo p.
 
 Bivariate polynomials monic in t are tested for irreducibility over the
-function field Q(x).  A specialization at a rational point is used as a
-sound fast path (an irreducible specialization proves irreducibility; a
-reducible one proves nothing), then candidate factors are reconstructed by
-lifting a coprime factorization of the specialization coefficient by
-coefficient and verified by exact division.  The point x0 is the first of
-0, -1, 1, -2, 2, ... where chi(x0, t) is squarefree.  As chi is monic in t,
-those are the points where its discriminant along t does not vanish, and that
-discriminant has x-degree at most (2r - 1) * deg_x chi for t-degree r; so
-when that many points plus one all fail, the discriminant is zero and chi has
-a repeated factor.  The discriminant itself is never computed.
+function field Q(x).  The specializations chi(x0, t) at the first points of
+0, -1, 1, -2, 2, ... where chi(x0, t) is squarefree are factored over Q.  An
+irreducible first specialization proves irreducibility; otherwise the subset
+sums of the factor degrees at up to three such points are intersected, and
+when only 0 and r remain, no factor over Q(x) is possible.  Only when the
+degree sets leave a degree open are candidate factors reconstructed, by
+lifting a coprime factorization of a specialization coefficient by
+coefficient, and verified by exact division.  As chi is monic in t, the
+squarefree points are those where its discriminant along t does not vanish,
+and that discriminant has x-degree at most (2r - 1) * deg_x chi for t-degree
+r; so when that many points plus one all fail, the discriminant is zero and
+chi has a repeated factor.  The discriminant itself is never computed.
 """
 
 from __future__ import annotations
@@ -52,6 +54,11 @@ _SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19)
 
 # Good primes whose distinct-degree factorizations are compared.
 _PRIME_TRIALS = 3
+
+# Squarefree specializations whose factor degrees are compared before the
+# Hensel divisor search over Q(x) runs.  More points pay off on few
+# irreducible curves, and every reducible curve pays for each of them.
+_DEGREE_SET_POINTS = 3
 
 
 # -- dense integer polynomials, lowest degree first, modulo m ----------------
@@ -429,9 +436,31 @@ def _hensel_lift(chi_shifted: BiPoly, g0: UniPoly, h0: UniPoly, precision: int):
 def irreducible_over_function_field(chi: BiPoly):
     """Decide irreducibility of chi in t over Q(x); chi must be monic in t.
 
-    Returns (verdict, certificate).  The certificate either names a witness
-    (an irreducible specialization, or the exhausted factor search) or holds
-    an explicit nontrivial factor as text.
+    Returns (verdict, certificate).  The certificate names a witness of
+    irreducibility (`linear`, `irreducible_specialization`, `degree_sets` or
+    `exhausted_search`), a repeated factor, or an explicit nontrivial factor
+    as text.
+
+    The walk visits x0 = 0, -1, 1, -2, 2, ... and uses the points where
+    chi(x0, t) is squarefree.  If the first is irreducible over Q, so is chi.
+    Otherwise up to _DEGREE_SET_POINTS of them are factored over Q, and the
+    subset sums of each point's factor degrees are intersected (Musser 1978,
+    J. ACM 25).  That is sound: chi is monic in t with coefficients in Q[x],
+    so by Gauss's lemma a factor of t-degree d over Q(x) can be taken monic
+    in Q[x][t], and at every x0 it specializes to a monic degree-d divisor of
+    chi(x0, t), whose degree is a sum of factor degrees with multiplicity.
+    Squarefreeness is not needed for this; at a squarefree point each factor
+    counts once.  So every factor degree of chi lies in the intersection, and
+    chi is irreducible (`degree_sets`) once it is {0, r}.
+
+    Otherwise the Hensel search runs at the walked point with the fewest
+    factors, for the degrees d <= r/2 still open.  The set is symmetric under
+    d -> r - d, so a reducible chi has a factor of some open degree d <= r/2.
+    Its specialization g0 is a monic divisor of degree d of the squarefree
+    chi(x0, t), coprime to the cofactor, so lifting g0 through powers of
+    x - x0 to precision d * deg_x chi + 1 recovers it, and exact division
+    confirms it (`factor`).  When no candidate divides, chi is irreducible
+    (`exhausted_search`).
     """
     if not chi.is_monic_in_t():
         raise ValidationError("irreducibility test requires a polynomial monic in t")
@@ -442,32 +471,49 @@ def irreducible_over_function_field(chi: BiPoly):
         return True, {"kind": "linear", "witness": "degree 1 in t"}
 
     # chi(x0, t) is squarefree exactly where disc_t(chi) is nonzero, and that
-    # discriminant has x-degree at most (2r - 1) * deg_x chi.
-    for k in range((2 * r - 1) * chi.x_degree + 1):
+    # discriminant has x-degree at most (2r - 1) * deg_x chi.  Once one point
+    # is squarefree, the walk meets the others within that many more points.
+    bound = (2 * r - 1) * chi.x_degree + 1
+    # a chi constant in x specializes to itself at every point
+    budget = _DEGREE_SET_POINTS if chi.x_degree > 0 else 1
+    points, open_degrees = [], (1 << r + 1) - 1
+    for k in count():
+        if k == bound and not points:
+            # repeated factor over Q(x); the gcd with the t-derivative is proper
+            g = bipoly_gcd_t(chi, chi.derivative_t())
+            return False, {"kind": "repeated_factor", "factor": format_bipoly(g)}
         alpha = Fraction((k + 1) // 2 * (1 if k % 2 == 0 else -1))
         spec = chi.at_x(alpha)
-        if spec.gcd(spec.derivative()).degree == 0:
+        if spec.gcd(spec.derivative()).degree > 0:
+            continue
+        irt = [f for f, _ in factor_rationals(spec)[1]]
+        if len(irt) == 1 and not points:
+            return True, {
+                "kind": "irreducible_specialization",
+                "x0": str(alpha),
+                "specialization": format_unipoly(spec, "t"),
+            }
+        sums = 1
+        for f in irt:
+            sums |= sums << f.degree
+        open_degrees &= sums
+        points.append((alpha, spec, irt))
+        if open_degrees == 1 | 1 << r:
+            return True, {
+                "kind": "degree_sets",
+                "points": [
+                    {"x0": str(x0), "degrees": [f.degree for f in fs]} for x0, _, fs in points
+                ],
+            }
+        if len(points) == budget:
             break
-    else:
-        # repeated factor over Q(x); the gcd with the t-derivative is proper
-        g = bipoly_gcd_t(chi, chi.derivative_t())
-        return False, {"kind": "repeated_factor", "factor": format_bipoly(g)}
-    _, spec_factors = factor_rationals(spec)
-    irt = [f for f, _ in spec_factors]
-    if len(irt) == 1 and irt[0].degree == r:
-        return True, {
-            "kind": "irreducible_specialization",
-            "x0": str(alpha),
-            "specialization": format_unipoly(spec, "t"),
-        }
 
+    alpha, spec, irt = min(points, key=lambda point: len(point[2]))
     shifted = chi.shift_x(alpha)
     n_x = max(0, chi.x_degree)
-    searched = []
-    for d in range(1, r // 2 + 1):
-        bound = d * n_x
-        precision = bound + 1
-        searched.append(d)
+    searched = [d for d in range(1, r // 2 + 1) if open_degrees >> d & 1]
+    for d in searched:
+        precision = d * n_x + 1
         for g0 in _monic_divisors(irt, d):
             h0 = spec.exact_div(g0)
             g_rows = _hensel_lift(shifted, g0, h0, precision)

@@ -460,10 +460,11 @@ class TestCriterion8GoldenRegression:
             expected = handle.read()
         assert out == expected
 
-    @pytest.mark.parametrize("name", ["rank3", "rank4", "rank4_denominator"])
+    @pytest.mark.parametrize("name", ["rank3", "rank4", "rank4_denominator", "rank3_degree_sets"])
     def test_pinned_spectral_at_rank_three_and_four(self, name, capsys):
         # the commutant solve at ranks 3 and 4, one with multiplier
-        # denominator x
+        # denominator x; rank3_degree_sets is a curve reducible at x0 = 0
+        # whose integrality the degree sets of two points decide
         instance = os.path.join(GOLDEN, f"{name}_instance.json")
         code = main(["--no-timing", "spectral", instance])
         out = capsys.readouterr().out
