@@ -14,13 +14,14 @@ to the second's whose graph is the kernel fiber.
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
 from ._record import Record
 from .errors import RetryExhaustedError, ValidationError
 from .linalg import mat_rank
-from .poly import UniPoly
+from .poly import UniPoly, _as_fraction
 
 
 class HeckePoint(Record):
@@ -29,22 +30,16 @@ class HeckePoint(Record):
     __slots__ = ("x", "scale")
 
     def __init__(self, x: Fraction, scale: Fraction):
-        object.__setattr__(self, "x", Fraction(x))
-        object.__setattr__(self, "scale", Fraction(scale))
+        super().__init__(_as_fraction(x), _as_fraction(scale))
 
 
-class HeckeData:
+class HeckeData(Record):
     """Degrees (a, b) of the ambient summands plus the marked points."""
 
     __slots__ = ("a", "b", "points")
 
     def __init__(self, a: int, b: int, points):
-        object.__setattr__(self, "a", int(a))
-        object.__setattr__(self, "b", int(b))
-        object.__setattr__(self, "points", tuple(points))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HeckeData is immutable")
+        super().__init__(operator.index(a), operator.index(b), tuple(points))
 
     @property
     def length(self) -> int:
@@ -53,22 +48,6 @@ class HeckeData:
     def kernel_degree(self) -> int:
         """Degree of the presented bundle: a + b - (number of points)."""
         return self.a + self.b - self.length
-
-    def __eq__(self, other):
-        if isinstance(other, HeckeData):
-            return (
-                self.a == other.a
-                and self.b == other.b
-                and self.points == other.points
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("HeckeData", self.a, self.b, self.points))
-
-    def __repr__(self):
-        pts = [(str(p.x), str(p.scale)) for p in self.points]
-        return f"HeckeData(a={self.a}, b={self.b}, points={pts})"
 
 
 def validate(data: HeckeData):

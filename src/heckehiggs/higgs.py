@@ -7,13 +7,11 @@ point x_i, the second component's fiber map equals lambda_i times the
 first's.  ``reconstruct`` certifies both conditions and produces the
 validated field; ``decompose`` projects back to the pair.  The backward
 spectral correspondence builds fields whose pairs satisfy both conditions
-by construction; ``field_certificate`` is the one place the certificate's
-format is written.
+by construction.  A field's certificate is derived from its presentation by
+``TwistedHiggsField.certificate``, the one place its format is written.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from ._record import Record
 from .errors import CommutationError, FiberConditionError, ValidationError
@@ -21,7 +19,7 @@ from .hecke import HeckeData, require_valid
 from .projline import SplitBundle, TwistedEndo, evaluate_endo, require_valid_endo
 
 
-class HiggsPair:
+class HiggsPair(Record):
     """A twist-a endomorphism and a twist-b endomorphism of the same bundle."""
 
     __slots__ = ("bundle", "first", "second")
@@ -31,31 +29,11 @@ class HiggsPair:
             raise ValidationError("components must live on the given bundle")
         require_valid_endo(first, "first component")
         require_valid_endo(second, "second component")
-        object.__setattr__(self, "bundle", bundle)
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HiggsPair is immutable")
+        super().__init__(bundle, first, second)
 
     @property
     def rank(self) -> int:
         return self.bundle.rank
-
-    def __eq__(self, other):
-        if isinstance(other, HiggsPair):
-            return (
-                self.bundle == other.bundle
-                and self.first == other.first
-                and self.second == other.second
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("HiggsPair", self.bundle.twists, self.first, self.second))
-
-    def __repr__(self):
-        return f"HiggsPair(E={list(self.bundle.twists)}, a={self.first.twist}, b={self.second.twist})"
 
 
 def commutator(pair: HiggsPair) -> TwistedEndo:
@@ -72,11 +50,6 @@ class FiberVerdict(Record):
     second(x) - lambda * first(x)."""
 
     __slots__ = ("x", "ok", "residual")
-
-    def __init__(self, x: Fraction, ok: bool, residual: tuple):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "residual", residual)
 
 
 def check_fiber_condition(pair: HiggsPair, data: HeckeData):
@@ -111,36 +84,26 @@ def ensure_consistent(pair: HiggsPair, data: HeckeData):
         )
 
 
-class TwistedHiggsField:
+class TwistedHiggsField(Record):
     """A certified Higgs field twisted by the presented rank-2 bundle.
 
     Built by ``reconstruct``, which checks both conditions, and by the
     backward spectral correspondence, whose pairs meet them by
-    construction; the certificate, from ``field_certificate``, records that
-    they hold.  By exactness of the defining sequence the field is the unique
-    preimage of its pair, so equality of fields is equality of pairs.
+    construction.  By exactness of the defining sequence the field is the
+    unique preimage of its pair.
     """
 
-    __slots__ = ("hecke", "pair", "certificate")
+    __slots__ = ("hecke", "pair")
 
-    def __init__(self, hecke: HeckeData, pair: HiggsPair, certificate: dict):
-        object.__setattr__(self, "hecke", hecke)
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "certificate", certificate)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwistedHiggsField is immutable")
-
-    def __eq__(self, other):
-        if isinstance(other, TwistedHiggsField):
-            return self.hecke == other.hecke and self.pair == other.pair
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("TwistedHiggsField", self.hecke, self.pair))
-
-    def __repr__(self):
-        return f"TwistedHiggsField({self.hecke!r}, {self.pair!r})"
+    @property
+    def certificate(self) -> dict:
+        """The components commute, the fiber equation holds at every marked
+        point, and the field is the unique preimage of its pair."""
+        return {
+            "commutation": True,
+            "fiber": [{"x": str(p.x), "ok": True} for p in self.hecke.points],
+            "unique": True,
+        }
 
 
 def reconstruct(pair: HiggsPair, data: HeckeData) -> TwistedHiggsField:
@@ -161,18 +124,7 @@ def reconstruct(pair: HiggsPair, data: HeckeData) -> TwistedHiggsField:
             "fiber equation fails at " + ", ".join(str(x) for x in failing),
             points=failing,
         )
-    return TwistedHiggsField(data, pair, field_certificate(data))
-
-
-def field_certificate(data: HeckeData) -> dict:
-    """The certificate of a field on `data`: its components commute, the
-    fiber equation holds at every marked point, and the field is the unique
-    preimage of its pair."""
-    return {
-        "commutation": True,
-        "fiber": [{"x": str(p.x), "ok": True} for p in data.points],
-        "unique": True,
-    }
+    return TwistedHiggsField(data, pair)
 
 
 def decompose(field: TwistedHiggsField):

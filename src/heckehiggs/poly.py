@@ -32,6 +32,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import factorial, isqrt, lcm
 
+from ._record import Record
 from .errors import ParseError, ValidationError
 
 
@@ -54,7 +55,7 @@ def _power(base, n: int, one):
     return result
 
 
-class UniPoly:
+class UniPoly(Record):
     """Polynomial in one variable with exact rational coefficients."""
 
     __slots__ = ("coeffs",)
@@ -64,9 +65,6 @@ class UniPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -394,7 +392,7 @@ def _det_unipoly(rows) -> UniPoly:
     return UniPoly(Fraction(sign * c, denominator) for c in _unpack(mat[n - 1][n - 1], s))
 
 
-class BiPoly:
+class BiPoly(Record):
     """Polynomial in two variables x and t, stored by powers of t."""
 
     __slots__ = ("tcoeffs",)
@@ -409,9 +407,6 @@ class BiPoly:
         while cs and cs[-1].is_zero():
             cs.pop()
         object.__setattr__(self, "tcoeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiPoly is immutable")
 
     @classmethod
     def zero(cls) -> "BiPoly":
@@ -568,7 +563,7 @@ class BiPoly:
         return BiPoly(tuple(c.shift(offset) for c in self.tcoeffs))
 
 
-class RationalFunction:
+class RationalFunction(Record):
     """Element of Q(x): a reduced quotient of two UniPoly with monic denominator."""
 
     __slots__ = ("num", "den")
@@ -594,9 +589,6 @@ class RationalFunction:
                 num, den = num * inv, den * inv
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
 
     @classmethod
     def zero(cls):

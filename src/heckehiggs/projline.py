@@ -8,29 +8,27 @@ are canonical and fiber maps are plain scalar matrices.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from ._record import Record
 from .errors import ValidationError
 from .linalg import mat_mul
-from .poly import UniPoly, format_unipoly
+from .poly import UniPoly
 
 
-class SplitBundle:
+class SplitBundle(Record):
     """Direct sum of line bundles O(e1) (+) ... (+) O(er), e1 >= ... >= er."""
 
     __slots__ = ("twists",)
 
     def __init__(self, twists):
-        ts = tuple(int(e) for e in twists)
+        ts = tuple(operator.index(e) for e in twists)
         if not ts:
             raise ValidationError("a bundle needs positive rank")
         if any(ts[i] < ts[i + 1] for i in range(len(ts) - 1)):
             raise ValidationError("twists must be sorted in descending order")
-        object.__setattr__(self, "twists", ts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SplitBundle is immutable")
+        super().__init__(ts)
 
     @property
     def rank(self) -> int:
@@ -40,19 +38,8 @@ class SplitBundle:
     def degree(self) -> int:
         return sum(self.twists)
 
-    def __eq__(self, other):
-        if isinstance(other, SplitBundle):
-            return self.twists == other.twists
-        return NotImplemented
 
-    def __hash__(self):
-        return hash(("SplitBundle", self.twists))
-
-    def __repr__(self):
-        return f"SplitBundle({list(self.twists)})"
-
-
-class TwistedEndo:
+class TwistedEndo(Record):
     """A matrix of chart polynomials representing a global homomorphism
     E -> E (x) O(twist) for a split bundle E.
 
@@ -76,12 +63,7 @@ class TwistedEndo:
         r = source.rank
         if len(mat) != r or any(len(row) != r for row in mat):
             raise ValidationError(f"entry matrix must be {r}x{r}")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "twist", int(twist))
-        object.__setattr__(self, "entries", mat)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwistedEndo is immutable")
+        super().__init__(source, operator.index(twist), mat)
 
     @property
     def rank(self) -> int:
@@ -90,22 +72,6 @@ class TwistedEndo:
     def bound(self, i: int, j: int) -> int:
         e = self.source.twists
         return e[i] - e[j] + self.twist
-
-    def __eq__(self, other):
-        if isinstance(other, TwistedEndo):
-            return (
-                self.source == other.source
-                and self.twist == other.twist
-                and self.entries == other.entries
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("TwistedEndo", self.source.twists, self.twist, self.entries))
-
-    def __repr__(self):
-        rows = [[format_unipoly(e) for e in row] for row in self.entries]
-        return f"TwistedEndo(E={list(self.source.twists)}, twist={self.twist}, {rows})"
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
@@ -151,12 +117,6 @@ class EndoViolation(Record):
     """An entry whose degree exceeds its bound."""
 
     __slots__ = ("row", "col", "degree", "bound")
-
-    def __init__(self, row: int, col: int, degree: int, bound: int):
-        object.__setattr__(self, "row", row)
-        object.__setattr__(self, "col", col)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "bound", bound)
 
     def describe(self) -> str:
         return (

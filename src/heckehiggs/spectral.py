@@ -52,7 +52,6 @@ from .higgs import (
     TwistedHiggsField,
     check_commutation,
     ensure_consistent,
-    field_certificate,
 )
 from .linalg import (
     char_poly,
@@ -92,9 +91,7 @@ class SpectralCurve(Record):
                 raise ValidationError(
                     f"t^{r - i} coefficient exceeds its x-degree bound {i * a}"
                 )
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "r", r)
+        super().__init__(chi, a, r)
 
     @property
     def char_coefficients(self) -> tuple:
@@ -112,10 +109,6 @@ class SpectralFiberPoint(Record):
 
     __slots__ = ("minimal", "multiplicity")
 
-    def __init__(self, minimal: UniPoly, multiplicity: int):
-        object.__setattr__(self, "minimal", minimal)
-        object.__setattr__(self, "multiplicity", multiplicity)
-
 
 class SpectralData(Record):
     """Rank-1 datum on the curve: the multiplier psi (t-degree < r) with a
@@ -128,10 +121,7 @@ class SpectralData(Record):
             raise ValidationError("multiplier must have t-degree < r")
         if psi_denominator.is_zero():
             raise ValidationError("zero multiplier denominator")
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "psi_denominator", psi_denominator)
-        object.__setattr__(self, "b", b)
+        super().__init__(curve, psi, psi_denominator, b)
 
 
 def curve_of(endo: TwistedEndo) -> SpectralCurve:
@@ -196,11 +186,7 @@ class EigenvalueVerdict(Record):
     __slots__ = ("x", "minimal", "multiplicity", "ok", "note")
 
     def __init__(self, x: Fraction, minimal: str, multiplicity: int, ok: bool, note: str = ""):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "minimal", minimal)
-        object.__setattr__(self, "multiplicity", multiplicity)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "note", note)
+        super().__init__(x, minimal, multiplicity, ok, note)
 
 
 def eigenvalue_condition(
@@ -499,7 +485,7 @@ def backward_on_curve(
             [HeckePoint(p.x, -p.scale) for p in data.points],
         )
     pair = HiggsPair(first.source, first, second)
-    return TwistedHiggsField(target, pair, field_certificate(target))
+    return TwistedHiggsField(target, pair)
 
 
 def certify_stability(field: TwistedHiggsField):
