@@ -167,7 +167,7 @@ def make_presentation(
     pool = []
     seen = set()
     for value in point_pool:
-        v = Fraction(value)
+        v = _as_fraction(value)
         if v not in seen:
             seen.add(v)
             pool.append(v)

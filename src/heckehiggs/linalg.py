@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ValidationError
-from .poly import BiPoly, UniPoly
+from .poly import BiPoly, UniPoly, _det_unipoly
 
 
 def mat_shape(mat):
@@ -51,33 +51,25 @@ def mat_eq(a, b) -> bool:
 
 def char_poly(mat) -> BiPoly:
     """Characteristic polynomial det(tI - M) of a square matrix over Q[x],
-    by the Faddeev-LeVerrier recursion (division by integers only)."""
+    as one packed Bareiss determinant over Q[z] (Kronecker substitution).
+
+    With w = n * deg M + 1, the ring map x -> z, t -> z^w sends tI - M to the
+    matrix with diagonal z^w - m_ii and off-diagonal -m_ij, and det(tI - M)
+    to that matrix's determinant.  The map is injective on polynomials of
+    x-degree < w, and each t-coefficient of det(tI - M) has x-degree at most
+    n * deg M, so block j of w coefficients of the image is the coefficient
+    of t^j."""
     n, m = mat_shape(mat)
     if n != m:
         raise ValidationError("characteristic polynomial of a non-square matrix")
-    rows = tuple(
-        tuple(e if isinstance(e, UniPoly) else UniPoly.constant(e) for e in row)
-        for row in mat
-    )
-    if n == 0:
-        return BiPoly.one()
-    coeffs = [UniPoly.one()]
-    acc = rows
-    for k in range(1, n + 1):
-        tr = UniPoly.zero()
-        for i in range(n):
-            tr = tr + acc[i][i]
-        ck = tr * Fraction(-1, k)
-        coeffs.append(ck)
-        if k == n:
-            break
-        shifted = tuple(
-            tuple(acc[i][j] + (ck if i == j else UniPoly.zero()) for j in range(n))
-            for i in range(n)
-        )
-        acc = mat_mul(rows, shifted)
-    # coeffs[k] multiplies t^(n-k)
-    return BiPoly(tuple(reversed(coeffs)))
+    rows = [[e if isinstance(e, UniPoly) else UniPoly.constant(e) for e in row]
+            for row in mat]
+    w = n * max([0] + [e.degree for row in rows for e in row]) + 1
+    zw = UniPoly.monomial(w)
+    det = _det_unipoly(
+        [[zw - e if i == j else -e for j, e in enumerate(row)] for i, row in enumerate(rows)]
+    ).coeffs
+    return BiPoly(UniPoly(det[k:k + w]) for k in range(0, n * w + 1, w))
 
 
 def _row_echelon(mat):

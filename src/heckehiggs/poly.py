@@ -6,13 +6,13 @@ coefficients along powers of a second variable ``t``, so a bivariate
 polynomial chi(x, t) is stored as its list of t-coefficients.
 ``RationalFunction`` is the fraction field of ``UniPoly``; its one user is
 ``bipoly_gcd_t``, the Euclidean gcd in t over the function field.
-``_det_unipoly`` is the determinant over Q[x] for the commutant solve's
-Krylov system: Bareiss elimination on integers, through three packing
-helpers (``_clear_row`` clears a row's denominators, ``_pack`` evaluates an
-integer coefficient list at x = 2^s, ``_unpack`` reads the signed base-2^s
-digits back).  ``_power`` is the one
-repeated-squaring loop, shared by ``UniPoly``, ``BiPoly`` and number-field
-elements.
+``_det_unipoly`` is the one determinant over Q[x]: it serves the commutant
+solve's Krylov system and, under the substitution t -> x^w,
+``linalg.char_poly``.  It is Bareiss elimination on integers, through three
+packing helpers (``_clear_row`` clears a row's denominators, ``_pack``
+evaluates an integer coefficient list at x = 2^s, ``_unpack`` reads the
+signed base-2^s digits back).  ``_power`` is the one repeated-squaring loop,
+shared by ``UniPoly``, ``BiPoly`` and number-field elements.
 
 All values are immutable and all operations are pure; the text grammar
 (`parse_bipoly` / `format_bipoly`) is the single parse/print format used by

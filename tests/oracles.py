@@ -9,7 +9,7 @@ from heckehiggs.factor import factor_rationals
 from heckehiggs.higgs import ensure_consistent
 from heckehiggs.linalg import kernel_basis, mat_eq, mat_is_zero, mat_mul, solve_right
 from heckehiggs.numfield import NumberField, NumberFieldElement
-from heckehiggs.poly import UniPoly, format_unipoly
+from heckehiggs.poly import BiPoly, UniPoly, format_unipoly
 from heckehiggs.projline import evaluate_endo
 from heckehiggs.spectral import EigenvalueVerdict, fiber_points
 
@@ -152,3 +152,31 @@ def at_t(chi, value) -> UniPoly:
     for c in reversed(chi.tcoeffs):
         result = result * value + c
     return result
+
+
+def cofactor_char_poly(mat):
+    """Oracle: det(tI - M) by Laplace expansion over bivariate polynomials."""
+    n = len(mat)
+    rows = [
+        [
+            BiPoly.t() - BiPoly.from_unipoly(mat[i][j])
+            if i == j
+            else -BiPoly.from_unipoly(mat[i][j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+    def det(m):
+        if len(m) == 1:
+            return m[0][0]
+        total = BiPoly.zero()
+        for j in range(len(m)):
+            if m[0][j].is_zero():
+                continue
+            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+            term = m[0][j] * det(minor)
+            total = total + term if j % 2 == 0 else total - term
+        return total
+
+    return det(rows)

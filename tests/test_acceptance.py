@@ -34,7 +34,7 @@ from instance_strategies import (
     perturb_second_at_point,
     random_valid_instance,
 )
-from oracles import at_t
+from oracles import at_t, cofactor_char_poly
 
 F = Fraction
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -205,33 +205,6 @@ class TestCriterion3SpectralRoundTripA:
 # -- criterion 4: display vs characteristic polynomial ----------------------
 
 
-def cofactor_char_poly(mat):
-    n = len(mat)
-    rows = [
-        [
-            BiPoly.t() - BiPoly.from_unipoly(mat[i][j])
-            if i == j
-            else -BiPoly.from_unipoly(mat[i][j])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-    def det(m):
-        if len(m) == 1:
-            return m[0][0]
-        total = BiPoly.zero()
-        for j in range(len(m)):
-            if m[0][j].is_zero():
-                continue
-            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-            term = m[0][j] * det(minor)
-            total = total + term if j % 2 == 0 else total - term
-        return total
-
-    return det(rows)
-
-
 class TestCriterion4DisplayConsistency:
     def test_display_equals_both_characteristic_polynomials(self):
         rng = random.Random(404)
@@ -247,7 +220,7 @@ class TestCriterion4DisplayConsistency:
             assert display == char_poly(endo.entries)
             assert display == cofactor_char_poly(endo.entries)
         report(
-            "PASS criterion 4: display matches Faddeev-LeVerrier and the "
+            "PASS criterion 4: display matches the packed Bareiss char_poly and the "
             "cofactor oracle on 100 random matrices (r <= 4, degrees <= 2)"
         )
 

@@ -135,6 +135,15 @@ class TestMakePresentation:
         with pytest.raises(ValidationError):
             make_presentation(0, 0, 0, [F(0)], 1)
 
+    @pytest.mark.parametrize("bad", [0.1, "1/3"])
+    def test_pool_takes_exact_numbers_only(self, bad):
+        with pytest.raises(TypeError):
+            make_presentation(1, 0, 2, [bad, F(1, 3)], 1)
+        with pytest.raises(TypeError):
+            make_presentation(1, 0, 2, [0, bad], 1)
+        data = make_presentation(1, 0, 2, [0, F(1, 3)], 1)
+        assert [p.x for p in data.points] == [F(0), F(1, 3)]
+
     def test_deterministic_given_seed(self):
         one = make_presentation(1, 0, 2, [F(0), F(1), F(2)], 42)
         two = make_presentation(1, 0, 2, [F(0), F(1), F(2)], 42)

@@ -1,8 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from heckehiggs import linalg
 from heckehiggs.linalg import (
     char_poly,
     kernel_basis,
@@ -17,38 +21,10 @@ from heckehiggs.errors import ValidationError
 from heckehiggs.numfield import NumberField
 from heckehiggs.factor import factor_rationals
 from heckehiggs.poly import BiPoly, UniPoly, parse_bipoly
-from oracles import generalized_eigenspace, nilpotency_test
+from oracles import cofactor_char_poly, generalized_eigenspace, nilpotency_test
 
 X = UniPoly.variable()
 F = Fraction
-
-
-def cofactor_char_poly(mat):
-    """Oracle: det(tI - M) by Laplace expansion over bivariate polynomials."""
-    n = len(mat)
-    rows = [
-        [
-            BiPoly.t() - BiPoly.from_unipoly(mat[i][j])
-            if i == j
-            else -BiPoly.from_unipoly(mat[i][j])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-    def det(m):
-        if len(m) == 1:
-            return m[0][0]
-        total = BiPoly.zero()
-        for j in range(len(m)):
-            if m[0][j].is_zero():
-                continue
-            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-            term = m[0][j] * det(minor)
-            total = total + term if j % 2 == 0 else total - term
-        return total
-
-    return det(rows)
 
 
 def random_unipoly_matrix(rng, n, max_deg):
@@ -59,6 +35,59 @@ def random_unipoly_matrix(rng, n, max_deg):
         )
         for _ in range(n)
     )
+
+
+def _entry(rng, degree, den=1, lead=None):
+    """A polynomial of exact degree `degree`, coefficients over `den`."""
+    if lead is None:
+        lead = rng.choice([-3, -2, -1, 1, 2, 3])
+    return UniPoly([F(rng.randint(-3, 3), den) for _ in range(degree)] + [F(lead, den)])
+
+
+def _square(n, entry):
+    return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
+
+
+def _top_degree(rng, n):
+    """Degree-3 diagonal over degree-2 off-diagonal entries: the t^0
+    coefficient of chi has x-degree exactly 3n = w - 1, the top of a block."""
+    return _square(n, lambda i, j: _entry(rng, 3 if i == j else 2))
+
+
+def _edge_cases():
+    """Matrices at the edges of char_poly's Kronecker packing, by name."""
+    rng = random.Random(7)
+    return {
+        "rational-rows": [
+            _square(4, lambda i, j: _entry(rng, rng.randint(0, 2), den=(2, 3, 5, 7)[i]))
+            for _ in range(3)
+        ],
+        "degree-3-n5": [random_unipoly_matrix(rng, 5, 3), _top_degree(rng, 5)],
+        "degree-3-n6": [random_unipoly_matrix(rng, 6, 3), _top_degree(rng, 6)],
+        "1x1": [((_entry(rng, 2, den=3),),), ((UniPoly.zero(),),)],
+        "constant": [
+            _square(4, lambda i, j: UniPoly.constant(F(rng.randint(-5, 5), rng.randint(1, 4))))
+        ],
+        "negative-leading": [
+            _square(3, lambda i, j: _entry(rng, rng.randint(0, 3), lead=-rng.randint(1, 5)))
+        ],
+    }
+
+
+EDGE_CASES = _edge_cases()
+
+unipoly_entries = st.one_of(
+    st.just(UniPoly.zero()),
+    st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5), max_size=4).map(
+        UniPoly
+    ),
+)
+
+
+@st.composite
+def unipoly_matrices(draw):
+    n = draw(st.integers(1, 4))
+    return tuple(tuple(draw(st.lists(unipoly_entries, min_size=n, max_size=n))) for _ in range(n))
 
 
 class TestCharPoly:
@@ -74,33 +103,61 @@ class TestCharPoly:
         mat = ((X, UniPoly.zero()), (UniPoly.zero(), X + 1))
         assert char_poly(mat) == parse_bipoly("t - x") * parse_bipoly("t - x - 1")
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_matches_cofactor_oracle(self, n):
-        rng = random.Random(10 + n)
-        for _ in range(5):
-            mat = random_unipoly_matrix(rng, n, 2)
+    def test_empty_matrix(self):
+        assert char_poly(()) == BiPoly.one()
+
+    @pytest.mark.parametrize("case", [1, 2, 3, 4, *EDGE_CASES])
+    def test_matches_cofactor_oracle(self, case):
+        if case in EDGE_CASES:
+            mats = EDGE_CASES[case]
+        else:
+            rng = random.Random(10 + case)
+            mats = [random_unipoly_matrix(rng, case, 2) for _ in range(5)]
+        for mat in mats:
             assert char_poly(mat) == cofactor_char_poly(mat)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_cayley_hamilton(self, n):
-        rng = random.Random(20 + n)
-        mat = random_unipoly_matrix(rng, n, 2)
-        cp = char_poly(mat)
-        bimat = tuple(tuple(BiPoly.from_unipoly(e) for e in row) for row in mat)
-        zero = BiPoly.zero()
-        acc = tuple(tuple(zero for _ in range(n)) for _ in range(n))
-        ident = tuple(
-            tuple(BiPoly.one() if i == j else zero for j in range(n)) for i in range(n)
-        )
-        # Horner in the matrix argument
-        for k in range(cp.t_degree, -1, -1):
-            acc = mat_mul(acc, bimat)
-            c = BiPoly.from_unipoly(cp.tcoeff(k))
-            acc = tuple(
-                tuple(acc[i][j] + (c if i == j else zero) for j in range(n))
-                for i in range(n)
-            )
-        assert mat_is_zero(acc)
+    @given(unipoly_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_cofactor_oracle_on_drawn_matrices(self, mat):
+        assert char_poly(mat) == cofactor_char_poly(mat)
+
+    def test_is_one_packed_determinant(self, monkeypatch):
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(linalg, "_det_unipoly", counting("_det_unipoly", linalg._det_unipoly))
+        monkeypatch.setattr(linalg, "mat_mul", counting("mat_mul", linalg.mat_mul))
+        mat = random_unipoly_matrix(random.Random(5), 4, 2)
+        assert char_poly(mat) == cofactor_char_poly(mat)
+        assert counts == Counter({"_det_unipoly": 1})
+
+    @pytest.mark.parametrize("case", [2, 3, 4, *EDGE_CASES])
+    def test_cayley_hamilton(self, case):
+        if case in EDGE_CASES:
+            mats = EDGE_CASES[case]
+        else:
+            mats = [random_unipoly_matrix(random.Random(20 + case), case, 2)]
+        for mat in mats:
+            n = len(mat)
+            cp = char_poly(mat)
+            bimat = tuple(tuple(BiPoly.from_unipoly(e) for e in row) for row in mat)
+            zero = BiPoly.zero()
+            acc = tuple(tuple(zero for _ in range(n)) for _ in range(n))
+            # Horner in the matrix argument
+            for k in range(cp.t_degree, -1, -1):
+                acc = mat_mul(acc, bimat)
+                c = BiPoly.from_unipoly(cp.tcoeff(k))
+                acc = tuple(
+                    tuple(acc[i][j] + (c if i == j else zero) for j in range(n))
+                    for i in range(n)
+                )
+            assert mat_is_zero(acc)
 
     def test_principal_minor_identity(self):
         # coefficient of t^(r-k) is (-1)^k * sum of principal k x k minors
