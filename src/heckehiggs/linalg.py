@@ -3,8 +3,8 @@
 Matrices are tuples of tuples.  Ring entries only need the arithmetic
 dunders and equality against 0; field entries additionally need true
 division.  This covers Fraction, UniPoly and BiPoly without any dispatch
-machinery.  No solve here runs over the function field Q(x):
-``poly.RationalFunction`` now serves only ``poly.bipoly_gcd_t``.
+machinery.  No solve here runs over the function field Q(x), and no
+command builds a ``poly.RationalFunction``.
 `poly_at_matrix` and `semisimple_part` work on rational matrices, so the
 fiberwise checks need no number field.
 """

@@ -4,8 +4,10 @@
 (ascending degree, no trailing zeros).  ``BiPoly`` stacks ``UniPoly``
 coefficients along powers of a second variable ``t``, so a bivariate
 polynomial chi(x, t) is stored as its list of t-coefficients.
-``RationalFunction`` is the fraction field of ``UniPoly``; its one user is
-``bipoly_gcd_t``, the Euclidean gcd in t over the function field.
+``bipoly_gcd_t`` is the gcd in t over Q(x), computed over Q[x] by a
+primitive pseudo-remainder sequence.  ``RationalFunction``, the fraction
+field of ``UniPoly``, is a library type that no command uses; the tests'
+Euclid over Q(x) and the benchmark's tracer still name it.
 ``_det_unipoly`` is the one determinant over Q[x]: it serves the commutant
 solve's Krylov system and, under the substitution t -> x^w,
 ``linalg.char_poly``.  It is Bareiss elimination on integers, through three
@@ -682,49 +684,38 @@ class RationalFunction(Record):
         return self.num.evaluate(x0) / d
 
 
+def _primitive_t(p: BiPoly) -> BiPoly:
+    """The associate of a nonzero p in Q[x][t] whose t-coefficients have no
+    common factor and whose top t-coefficient is monic."""
+    content = UniPoly.zero()
+    for c in p.tcoeffs:
+        content = content.gcd(c)
+    content = content * p.tcoeffs[-1].leading()
+    return BiPoly(c.exact_div(content) for c in p.tcoeffs)
+
+
 def bipoly_gcd_t(p: BiPoly, q: BiPoly) -> BiPoly:
-    """Monic-in-t gcd over the function field Q(x), denominators cleared.
+    """gcd(p, q) in t over Q(x), as its `_primitive_t` associate (zero when
+    both are zero).
 
-    The result is a BiPoly, monic in t, whose t-coefficients are rational
-    functions cleared to a common polynomial denominator.
+    A primitive pseudo-remainder sequence over Q[x] (von zur Gathen and
+    Gerhard, Modern Computer Algebra, 6.10-6.11).  By Gauss's lemma the gcd
+    over Q(x) is the gcd of the primitive parts in Q[x][t].  Each step
+    cancels a's top term as lead(b) * a - lead(a) * t^k * b until a is
+    shorter than b, and makes that remainder primitive again, so the
+    coefficients keep the size of an associate instead of swelling as in
+    Euclid's algorithm over Q(x).
     """
-    a = [RationalFunction(c) for c in p.tcoeffs]
-    b = [RationalFunction(c) for c in q.tcoeffs]
-
-    def strip(u):
-        while u and u[-1].is_zero():
-            u.pop()
-        return u
-
-    def mod(u, v):
-        u = list(u)
-        dv = len(v) - 1
-        inv = RationalFunction.one() / v[-1]
-        for k in range(len(u) - 1, dv - 1, -1):
-            if u[k].is_zero():
-                continue
-            f = u[k] * inv
-            for j, c in enumerate(v):
-                u[k - dv + j] = u[k - dv + j] - f * c
-        return strip(u)
-
-    a, b = strip(a), strip(b)
+    a, b = (_primitive_t(u) if u else u for u in (p, q))
+    if a.t_degree < b.t_degree:
+        a, b = b, a
     while b:
-        a, b = b, mod(a, b)
-    if not a:
-        return BiPoly.zero()
-    inv = RationalFunction.one() / a[-1]
-    a = [c * inv for c in a]
-    den = UniPoly.one()
-    for c in a:
-        den = den * c.den.exact_div(den.gcd(c.den))
-    coeffs = [c.num * den.exact_div(c.den) for c in a]
-    common = coeffs[0]
-    for c in coeffs[1:]:
-        common = common.gcd(c)
-    if common.degree > 0:
-        coeffs = [c.exact_div(common) for c in coeffs]
-    return BiPoly(coeffs)
+        lead, d = b.tcoeffs[-1], b.t_degree
+        while a.t_degree >= d:
+            top = BiPoly((UniPoly.zero(),) * (a.t_degree - d) + (a.tcoeffs[-1],))
+            a = a * lead - top * b
+        a, b = b, _primitive_t(a) if a else a
+    return a
 
 
 # -- text grammar ---------------------------------------------------------

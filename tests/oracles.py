@@ -1,6 +1,7 @@
 """Test-side reference implementations: the pointwise number-field forms of
 the fiberwise checks the certifier decides over Q, the number-field linear
-algebra they run on, and small algebra helpers only the tests use."""
+algebra they run on, Euclid's gcd in t over Q(x), and small algebra helpers
+only the tests use."""
 
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from heckehiggs.factor import factor_rationals
 from heckehiggs.higgs import ensure_consistent
 from heckehiggs.linalg import kernel_basis, mat_eq, mat_is_zero, mat_mul, solve_right
 from heckehiggs.numfield import NumberField, NumberFieldElement
-from heckehiggs.poly import BiPoly, UniPoly, format_unipoly
+from heckehiggs.poly import BiPoly, RationalFunction, UniPoly, format_unipoly
 from heckehiggs.projline import evaluate_endo
 from heckehiggs.spectral import EigenvalueVerdict, fiber_points
 
@@ -136,6 +137,48 @@ def pointwise_multiplier_witnesses(psi, den, curve, marked, sign):
                 minimal = format_unipoly(point.minimal, "t")
                 witnesses.append({"x": str(hp.x), "minimal": minimal, "note": "eigenvalue mismatch"})
     return witnesses
+
+
+def gcd_t_over_qx(p: BiPoly, q: BiPoly) -> BiPoly:
+    """Oracle: gcd(p, q) in t by Euclid's algorithm over the function field
+    Q(x), made monic in t, its denominators cleared and its content removed."""
+    a = [RationalFunction(c) for c in p.tcoeffs]
+    b = [RationalFunction(c) for c in q.tcoeffs]
+
+    def strip(u):
+        while u and u[-1].is_zero():
+            u.pop()
+        return u
+
+    def mod(u, v):
+        u = list(u)
+        dv = len(v) - 1
+        inv = RationalFunction.one() / v[-1]
+        for k in range(len(u) - 1, dv - 1, -1):
+            if u[k].is_zero():
+                continue
+            f = u[k] * inv
+            for j, c in enumerate(v):
+                u[k - dv + j] = u[k - dv + j] - f * c
+        return strip(u)
+
+    a, b = strip(a), strip(b)
+    while b:
+        a, b = b, mod(a, b)
+    if not a:
+        return BiPoly.zero()
+    inv = RationalFunction.one() / a[-1]
+    a = [c * inv for c in a]
+    den = UniPoly.one()
+    for c in a:
+        den = den * c.den.exact_div(den.gcd(c.den))
+    coeffs = [c.num * den.exact_div(c.den) for c in a]
+    common = coeffs[0]
+    for c in coeffs[1:]:
+        common = common.gcd(c)
+    if common.degree > 0:
+        coeffs = [c.exact_div(common) for c in coeffs]
+    return BiPoly(coeffs)
 
 
 def rational_roots(p: UniPoly):

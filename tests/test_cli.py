@@ -22,6 +22,7 @@ from heckehiggs.hecke import make_presentation
 from heckehiggs.higgs import check_commutation, check_fiber_condition
 from heckehiggs.serialize import instance_to_json
 from heckehiggs.numfield import NumberField
+from heckehiggs.poly import RationalFunction
 from heckehiggs.spectral import curve_of
 from instance_strategies import instances
 from oracles import eigenspace_invariance, eigenvalue_condition
@@ -422,6 +423,36 @@ def _mutated(draw, doc):
     return doc
 
 
+# chi = t^2 * q with a = 2 and r = 6: not reduced, so `build` refuses it
+# once the walk finds no squarefree point and the gcd with chi_t names t
+REPEATED_FACTOR_DOC = {
+    "hecke": {"S": 2, "L": 2, "points": []},
+    "spectral": {
+        "chi": "t^6 - 3*x^2*t^5 + 3*x*t^5 + 10*x^2*t^4 - 5*x*t^4 - 8*t^4"
+        " - 9*x^3*t^3 + 12*x^2*t^3 - 15*t^3 + 3*x^3*t^2 + x^2*t^2 + 7*x*t^2 - 6*t^2",
+        "a": 2,
+        "r": 6,
+        "psi": "t",
+        "psi_denominator": "1",
+        "b": 2,
+    },
+}
+
+
+def count_rational_functions(monkeypatch) -> Counter:
+    """A counter whose "RationalFunction" entry counts the elements of Q(x)
+    built from now until the test ends."""
+    counts = Counter()
+    init = RationalFunction.__init__
+
+    def counting_init(self, *args, **kwargs):
+        counts["RationalFunction"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RationalFunction, "__init__", counting_init)
+    return counts
+
+
 def _golden_build_doc():
     instance = json.loads((GOLDEN / "worked_instance.json").read_text())
     spectral = json.loads((GOLDEN / "worked_expected_spectral.json").read_text())
@@ -463,6 +494,16 @@ class TestFailureContract:
         message = "a coefficient of 6000 digits is too long to print"
         assert report["error"] == {"kind": "input", "message": message}
         assert err == f"input error: {message}\n"
+
+    def test_repeated_factor_is_refused_over_q_x(self, tmp_path, monkeypatch, capsys):
+        # Euclid over Q(x) ran for minutes on this gcd; the pseudo-remainder
+        # sequence over Q[x] builds no element of Q(x)
+        counts = count_rational_functions(monkeypatch)
+        path = write_doc(tmp_path, REPEATED_FACTOR_DOC)
+        code, report, _ = run(capsys, "--no-timing", "build", path)
+        assert code == 1
+        assert report["error"]["kind"] == "NonIntegralError"
+        assert counts["RationalFunction"] == 0
 
     @pytest.mark.parametrize("command", ["check", "spectral"])
     def test_rank_nine_is_decided(self, command, tmp_path, capsys):
@@ -806,6 +847,33 @@ class TestComputeOnce:
             "solve_right",
         )
         assert tuple(counts[name] for name in names) == expected
+
+
+class TestNoFunctionField:
+    """No command builds an element of Q(x): the repeated-factor gcd runs
+    over Q[x]."""
+
+    @pytest.mark.parametrize(
+        "command, document, expected",
+        [
+            ("check", None, 0),
+            ("reconstruct", None, 0),
+            ("spectral", None, 0),
+            ("build", _golden_build_doc(), 0),
+            ("build", REPEATED_FACTOR_DOC, 1),
+        ],
+        ids=["check", "reconstruct", "spectral", "build", "build-repeated-factor"],
+    )
+    def test_commands_build_no_rational_function(
+        self, command, document, expected, tmp_path, monkeypatch, capsys
+    ):
+        counts = count_rational_functions(monkeypatch)
+        path = str(GOLDEN / "worked_instance.json")
+        if document is not None:
+            path = write_doc(tmp_path, document)
+        assert main(["--no-timing", command, path]) == expected
+        capsys.readouterr()
+        assert counts["RationalFunction"] == 0
 
 
 def count_number_fields(monkeypatch) -> Counter:

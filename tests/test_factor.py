@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heckehiggs import factor
@@ -355,6 +355,29 @@ def eisenstein_at_x(draw):
     return BiPoly((tail[0] + X,) + tail[1:] + (UniPoly.one(),))
 
 
+# t^2 * q with q prime to t: Euclid over Q(x) took over 300 s on gcd(chi,
+# chi_t) here and 111.6 s on t * q; hypothesis seed 4 draws it from products()
+T2_Q = (
+    "t^6 - 3*x^2*t^5 + 3*x*t^5 + 10*x^2*t^4 - 5*x*t^4 - 8*t^4 - 9*x^3*t^3"
+    " + 12*x^2*t^3 - 15*t^3 + 3*x^3*t^2 + x^2*t^2 + 7*x*t^2 - 6*t^2"
+)
+# products() draws with a repeated factor where Euclid over Q(x) took from
+# 3.5 s to over 4 s each (hypothesis seeds 8, 16, 16, 17 and 20)
+SLOW_DRAWS = (
+    "t^6 + 3*x^2*t^5 - 5*t^5 - 9*x^3*t^4 - 15*x^2*t^4 - 2*x*t^4 + 7*t^4"
+    " - 9*x^3*t^3 - 9*x^2*t^3 - 2*x*t^3 + 6*x^2*t^2 - 5*x*t^2 - 6*t^2",
+    "t^6 + 5*x^2*t^5 - 4*x*t^5 + 6*x^4*t^4 - 10*x^3*t^4 + 4*x^2*t^4 - 2*x*t^4"
+    " - 2*t^4 + 3*x^4*t^3 - 8*x^3*t^3 + 3*x^2*t^3 + t^3 + 3*x^4*t^2"
+    " - 2*x^3*t^2 + 7*x^2*t^2 - 4*x*t^2 + 2*t^2",
+    "t^6 - 3*x^2*t^5 + 2*x*t^5 - t^5 - 2*x^2*t^4 - 3*x*t^4 - 4*t^4 + 6*x^4*t^3"
+    " + 5*x^3*t^3 + 2*x^2*t^3 - x*t^3 + 2*t^3 + 4*x^2*t^2 + 6*x*t^2 + 4*t^2",
+    "t^6 - x*t^5 + 2*t^5 - 6*x^2*t^4 - 4*x*t^4 + 4*x^2*t^3 + x*t^3 - 6*x^2*t^2"
+    " - 6*x*t^2",
+    "t^6 - 2*x^2*t^5 + x*t^5 - 6*x^2*t^4 + 5*x*t^4 - 5*t^4 - 6*x^2*t^3"
+    " + 7*x*t^3 - 4*t^3 - 4*x^2*t^2 + 2*x*t^2 - 4*t^2",
+)
+
+
 class TestDegreeSets:
     # irreducible_over_function_field against curves whose answer is known
     # by construction; every degree_sets witness is replayed, and a spy on
@@ -392,6 +415,12 @@ class TestDegreeSets:
 
     @settings(max_examples=40, deadline=None)
     @given(products())
+    @example(parse_bipoly(T2_Q))
+    @example(parse_bipoly(SLOW_DRAWS[0]))
+    @example(parse_bipoly(SLOW_DRAWS[1]))
+    @example(parse_bipoly(SLOW_DRAWS[2]))
+    @example(parse_bipoly(SLOW_DRAWS[3]))
+    @example(parse_bipoly(SLOW_DRAWS[4]))
     def test_products_are_refused_with_a_dividing_factor(self, chi):
         verdict, cert = self.decide(chi)
         assert verdict is False
@@ -399,6 +428,11 @@ class TestDegreeSets:
         g = parse_bipoly(cert["factor"])
         assert 0 < g.t_degree < chi.t_degree
         assert chi.divmod_t(g)[1].is_zero()
+
+    def test_repeated_factor_t(self):
+        verdict, cert = irreducible_over_function_field(parse_bipoly(T2_Q))
+        assert verdict is False
+        assert cert == {"kind": "repeated_factor", "factor": "t"}
 
     @settings(max_examples=40, deadline=None)
     @given(eisenstein_at_x())

@@ -18,7 +18,7 @@ from heckehiggs.poly import (
     parse_bipoly,
     parse_unipoly,
 )
-from oracles import at_t
+from oracles import at_t, gcd_t_over_qx
 
 X = UniPoly.variable()
 
@@ -321,6 +321,84 @@ class TestBiPoly:
     def test_gcd_t(self):
         g = bipoly_gcd_t(parse_bipoly("t^2 - x^2"), parse_bipoly("t^2 - 2*x*t + x^2"))
         assert g == parse_bipoly("t - x")
+
+
+def bipolys(t_degree: int, lead):
+    """A BiPoly of the given t-degree with coefficients of x-degree at most
+    2 in `rationals`, over the top t-coefficient drawn from `lead`."""
+    coeff = st.lists(rationals, max_size=3).map(UniPoly)
+    return st.tuples(st.lists(coeff, min_size=t_degree, max_size=t_degree), lead).map(
+        lambda drawn: BiPoly((*drawn[0], drawn[1]))
+    )
+
+
+def monic_bipolys(min_degree: int, max_degree: int):
+    return st.integers(min_degree, max_degree).flatmap(
+        lambda d: bipolys(d, st.just(UniPoly.one()))
+    )
+
+
+nonzero_rationals = rationals.filter(bool).map(UniPoly.constant)
+
+
+@st.composite
+def repeated_factor_products(draw):
+    """(g, g^2 * h) with g and h monic in t and t-degree at most 4."""
+    g = draw(monic_bipolys(1, 2))
+    return g, g * g * draw(monic_bipolys(0, 2 - g.t_degree))
+
+
+@st.composite
+def pairs_with_a_common_factor(draw):
+    """(u1 * c * h1, u2 * c * h2): u1, u2 nonzero in Q[x], c of t-degree 1-2
+    with a constant top t-coefficient, h1 monic in t, h2 with any top
+    t-coefficient; every t-degree is at most 4."""
+    c = draw(st.integers(1, 2).flatmap(lambda d: bipolys(d, nonzero_rationals)))
+    room = 4 - c.t_degree
+    h1 = draw(monic_bipolys(0, room))
+    h2 = draw(st.integers(0, room).flatmap(lambda d: bipolys(d, unipolys(2).filter(bool))))
+    u1, u2 = (draw(unipolys(1).filter(bool)) for _ in range(2))
+    return u1 * c * h1, u2 * c * h2
+
+
+class TestGcdT:
+    # the primitive pseudo-remainder sequence against Euclid over Q(x): the
+    # same associate, primitive with a monic top t-coefficient, dividing both
+    def assert_gcd(self, p, q):
+        g = bipoly_gcd_t(p, q)
+        assert g == gcd_t_over_qx(p, q)
+        assert g.tcoeffs[-1].leading() == 1
+        for u in (p, q):
+            assert u.divmod_t(g)[1].is_zero()
+        return g
+
+    @given(repeated_factor_products())
+    @settings(max_examples=40, deadline=None)
+    def test_repeated_factor_of_a_monic_product(self, drawn):
+        factor, chi = drawn
+        g = self.assert_gcd(chi, chi.derivative_t())
+        assert g.divmod_t(factor)[1].is_zero()
+
+    @given(pairs_with_a_common_factor())
+    @settings(max_examples=40, deadline=None)
+    def test_non_monic_pairs(self, pair):
+        self.assert_gcd(*pair)
+
+    def test_non_constant_top_coefficient(self):
+        # the gcd x*t - 1 is primitive; its top t-coefficient x is monic
+        common = parse_bipoly("-2*x*t + 2")
+        p = common * parse_bipoly("3*x^2*t + x")
+        q = common * parse_bipoly("t^2 - 2") * Fraction(1, 3)
+        assert bipoly_gcd_t(p, q) == parse_bipoly("x*t - 1") == gcd_t_over_qx(p, q)
+
+    @pytest.mark.parametrize(
+        "p, q, expected",
+        [("0", "0", "0"), ("0", "2*x*t - 4*x", "t - 2"), ("x*t", "3*x", "1")],
+    )
+    def test_zero_and_content(self, p, q, expected):
+        p, q = parse_bipoly(p), parse_bipoly(q)
+        assert bipoly_gcd_t(p, q) == parse_bipoly(expected) == gcd_t_over_qx(p, q)
+        assert bipoly_gcd_t(q, p) == parse_bipoly(expected)
 
 
 class TestRationalFunction:
