@@ -87,10 +87,13 @@ def _load_document(path: str) -> dict:
 
 def _failure(report: dict, exc: Exception, doc: dict):
     """Finish `report` as a mathematical failure (exit 1) that carries the
-    reproducing document."""
+    reproducing document, plus the eigenvalue witnesses or the integrality
+    certificate the error holds."""
     report["error"] = {"kind": type(exc).__name__, "message": str(exc)}
     if isinstance(exc, EigenvalueConditionError):
         report["error"]["witnesses"] = list(exc.witnesses)
+    elif isinstance(exc, NonIntegralError):
+        report["error"]["certificate"] = exc.certificate
     report["instance"] = doc
     return report, 1
 

@@ -10,6 +10,16 @@ so its sections twisted by O(n) are pairs (f, g) with deg f <= a+n,
 deg g <= b+n and g(x_i) = lambda_i f(x_i) at every marked point.  The scalar
 lambda_i is the chart matrix of the fiber map from the first summand's fiber
 to the second's whose graph is the kernel fiber.
+
+With alpha = max(a+n+1, 0), beta = max(b+n+1, 0) and L marked points, those
+conditions are the L x (alpha+beta) matrix [-Lambda V_alpha | V_beta], with
+V_k the Vandermonde matrix of the distinct points and Lambda = diag(lambda_i)
+invertible.  Its rank lies between max(min(alpha, L), min(beta, L)) and
+min(L, alpha+beta).  The bounds meet exactly when max(alpha, beta) >= L or
+min(alpha, beta) = 0, and then h0 = max(alpha+beta-L, 0) with no
+elimination; only the constrained twists, 1 <= min(alpha, beta) and
+max(alpha, beta) < L, are counted by a rank.  `splitting_type` probes each
+twist of its window once.
 """
 
 from __future__ import annotations
@@ -74,20 +84,24 @@ def h0_of_twist(data: HeckeData, n: int) -> int:
     """Dimension of the twisted section space of the presented bundle.
 
     Sections are pairs (f, g), deg f <= a+n, deg g <= b+n, subject to one
-    linear condition per marked point; computed as a kernel dimension.
+    linear condition per marked point: the kernel of the L x (alpha+beta)
+    matrix [-Lambda V_alpha | V_beta].  Its rank is at least
+    max(min(alpha, L), min(beta, L)) and at most min(L, alpha+beta).  When
+    max(alpha, beta) >= L, evaluation at the points is onto and h0 is the
+    Riemann-Roch count alpha+beta-L; when min(alpha, beta) = 0, one summand
+    has no sections.  In both cases h0 = max(alpha+beta-L, 0); otherwise the
+    rank is computed by elimination.
     """
     require_valid(data)
     alpha = max(data.a + n + 1, 0)
     beta = max(data.b + n + 1, 0)
-    if alpha + beta == 0:
-        return 0
+    if max(alpha, beta) >= data.length or min(alpha, beta) == 0:
+        return max(alpha + beta - data.length, 0)
     rows = []
     for p in data.points:
         row = [-p.scale * p.x**k for k in range(alpha)]
         row += [p.x**k for k in range(beta)]
         rows.append(tuple(row))
-    if not rows:
-        return alpha + beta
     return alpha + beta - mat_rank(tuple(rows))
 
 
@@ -96,27 +110,33 @@ def splitting_type(data: HeckeData) -> tuple:
 
     The unique (c, d) with c >= d and c + d = kernel degree whose profile
     max(c+n+1, 0) + max(d+n+1, 0) equals h0_of_twist for all n.  The larger
-    twist is pinned by the first n with a nonzero section space (c = -n);
-    the full profile is then re-verified on a window covering both jumps.
+    twist is pinned by the first n with a nonzero section space (c = -n).
+    The profile is verified on the window [-(top+2), max(2, -d+1)] covering
+    both jumps, probing each twist once: below -c the scan has seen only
+    zeros, which is the profile there, and from -c up each twist is checked
+    as it is probed.
     """
     require_valid(data)
     total = data.kernel_degree()
     top = max(data.a, data.b)
     n = -(top + 2)
     guard = -min(data.a, data.b) + data.length + 1
-    while h0_of_twist(data, n) == 0:
+    h0 = h0_of_twist(data, n)
+    while h0 == 0:
         n += 1
         if n > guard:
             raise ValidationError(
                 "no sections below the guaranteed twist (internal error)"
             )
+        h0 = h0_of_twist(data, n)
     c = -n
     d = total - c
     if c < d:
         raise ValidationError("section jump above the degree midpoint (internal error)")
-    lo, hi = -(top + 2), max(2, -d + 1)
-    for m in range(lo, hi + 1):
-        if h0_of_twist(data, m) != max(c + m + 1, 0) + max(d + m + 1, 0):
+    for m in range(n, max(2, -d + 1) + 1):
+        if m > n:
+            h0 = h0_of_twist(data, m)
+        if h0 != max(c + m + 1, 0) + max(d + m + 1, 0):
             raise ValidationError(
                 f"section profile mismatch at twist {m} (internal error)"
             )

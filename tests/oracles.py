@@ -1,14 +1,21 @@
 """Test-side reference implementations: the pointwise number-field forms of
 the fiberwise checks the certifier decides over Q, the number-field linear
-algebra they run on, Euclid's gcd in t over Q(x), and small algebra helpers
-only the tests use."""
+algebra they run on, Euclid's gcd in t over Q(x), the full-matrix count of
+twisted sections, and small algebra helpers only the tests use."""
 
 from fractions import Fraction
 
 from heckehiggs.errors import ValidationError
 from heckehiggs.factor import factor_rationals
 from heckehiggs.higgs import ensure_consistent
-from heckehiggs.linalg import kernel_basis, mat_eq, mat_is_zero, mat_mul, solve_right
+from heckehiggs.linalg import (
+    kernel_basis,
+    mat_eq,
+    mat_is_zero,
+    mat_mul,
+    mat_rank,
+    solve_right,
+)
 from heckehiggs.numfield import NumberField, NumberFieldElement
 from heckehiggs.poly import BiPoly, RationalFunction, UniPoly, format_unipoly
 from heckehiggs.projline import evaluate_endo
@@ -223,3 +230,21 @@ def cofactor_char_poly(mat):
         return total
 
     return det(rows)
+
+
+def h0_by_elimination(data, n: int) -> int:
+    """Oracle for `hecke.h0_of_twist`: the kernel dimension of the full
+    [-Lambda V_alpha | V_beta] condition matrix, by elimination on every
+    twist."""
+    alpha = max(data.a + n + 1, 0)
+    beta = max(data.b + n + 1, 0)
+    if alpha + beta == 0:
+        return 0
+    rows = []
+    for p in data.points:
+        row = [-p.scale * p.x**k for k in range(alpha)]
+        row += [p.x**k for k in range(beta)]
+        rows.append(tuple(row))
+    if not rows:
+        return alpha + beta
+    return alpha + beta - mat_rank(tuple(rows))

@@ -503,6 +503,12 @@ class TestFailureContract:
         code, report, _ = run(capsys, "--no-timing", "build", path)
         assert code == 1
         assert report["error"]["kind"] == "NonIntegralError"
+        assert report["error"]["certificate"] == {
+            "squarefree": False,
+            "irreducible": False,
+            "factor": "t",
+            "reason": "repeated factor",
+        }
         assert counts["RationalFunction"] == 0
 
     @pytest.mark.parametrize("command", ["check", "spectral"])

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
+from heckehiggs import hecke
 from heckehiggs.errors import ValidationError
 from heckehiggs.hecke import (
     HeckeData,
@@ -12,12 +15,49 @@ from heckehiggs.hecke import (
     splitting_type,
     validate,
 )
+from oracles import h0_by_elimination
 
 F = Fraction
 
 
 def H(a, b, pts):
     return HeckeData(a, b, [HeckePoint(F(x), F(lam)) for x, lam in pts])
+
+
+_SMALL = st.fractions(-6, 6, max_denominator=3)
+
+
+@st.composite
+def presentations_with_twist(draw):
+    """A valid presentation (L <= 8 distinct points, nonzero rational
+    scalars, a and b in [-3, 9]) and a twist n whose max(alpha, beta) lies
+    within a few steps of L on either side."""
+    length = draw(st.integers(0, 8))
+    xs = draw(st.lists(_SMALL, min_size=length, max_size=length, unique=True))
+    scales = draw(
+        st.lists(_SMALL.filter(bool), min_size=length, max_size=length)
+    )
+    a, b = draw(st.integers(-3, 9)), draw(st.integers(-3, 9))
+    n = length - 1 - max(a, b) + draw(st.integers(-5, 3))
+    return HeckeData(a, b, [HeckePoint(x, lam) for x, lam in zip(xs, scales)]), n
+
+
+# four points with distinct scalars; at n = 0 (alpha, beta) is (3, b + 1)
+FOUR = [(0, 1), (1, 2), (2, 3), (3, -1)]
+
+
+def count_calls(monkeypatch, name):
+    """The argument tuples of every call of `hecke.<name>` from now until
+    the test ends."""
+    calls = []
+    fn = getattr(hecke, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(hecke, name, wrapper)
+    return calls
 
 
 class TestValidation:
@@ -61,6 +101,54 @@ class TestSectionCounts:
         data = H(2, 1, [(0, 2), (1, 1), (-1, 3)])
         values = [h0_of_twist(data, n) for n in range(-4, 3)]
         assert values == sorted(values)
+
+
+class TestAgainstElimination:
+    @settings(max_examples=200, deadline=None)
+    @given(presentations_with_twist())
+    @example((H(2, 1, FOUR), 0))  # max(alpha, beta) = L - 1: elimination
+    @example((H(2, 1, FOUR), 1))  # max(alpha, beta) = L: closed form
+    @example((H(2, -1, FOUR), 0))  # min(alpha, beta) = 0: closed form
+    @example((H(2, 0, FOUR), 0))  # min(alpha, beta) = 1: elimination
+    def test_h0_matches_full_matrix(self, case):
+        data, n = case
+        assert h0_of_twist(data, n) == h0_by_elimination(data, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(presentations_with_twist())
+    def test_splitting_is_pinned_by_the_oracle_profile(self, case):
+        data, _ = case
+        c, d = splitting_type(data)
+        assert c >= d and c + d == data.kernel_degree()
+        assert h0_by_elimination(data, -c - 1) == 0 < h0_by_elimination(data, -c)
+
+
+class TestProbeCounts:
+    @pytest.mark.parametrize(
+        "data",
+        [
+            H(1, 1, [(0, 1), (1, 2)]),
+            H(1, 1, [(0, 1), (1, 1)]),
+            H(-2, -2, [(0, 1)]),
+            H(2, 1, FOUR),
+            make_presentation(3, -3, 12, range(12), 0),
+            make_presentation(14, 1, 12, range(16), 0),
+        ],
+        ids=["generic", "jumped", "negative", "four-points", "3,-3,12", "14,1,12"],
+    )
+    def test_each_twist_is_probed_once(self, data, monkeypatch):
+        calls = count_calls(monkeypatch, "h0_of_twist")
+        c, d = splitting_type(data)
+        top = max(data.a, data.b)
+        assert [n for _, n in calls] == list(range(-(top + 2), max(2, -d + 1) + 1))
+
+    def test_unconstrained_twists_run_no_elimination(self, monkeypatch):
+        # (a, b) = (26, 1) with 12 points: every twist has beta = 0 or
+        # alpha >= 12, so no probe builds its condition matrix
+        calls = count_calls(monkeypatch, "mat_rank")
+        data = make_presentation(14, 1, 12, range(16), 0)
+        assert (data.a, data.b) == (26, 1)
+        assert calls == []
 
 
 class TestSplittingType:
