@@ -28,7 +28,6 @@ from .higgs import (
     TwistedHiggsField,
     check_commutation,
     check_fiber_condition,
-    commutator,
     decompose,
     reconstruct,
 )

@@ -28,7 +28,8 @@ from .errors import (
     ValidationError,
 )
 from .hecke import HeckeData, make_presentation, validate
-from .higgs import HiggsPair, check_fiber_condition, commutator, reconstruct
+from .higgs import HiggsPair, check_commutation, check_fiber_condition, reconstruct
+from .linalg import mat_mul
 from .poly import format_unipoly, parse_fraction
 from .projline import evaluate_endo, validate_twisted_endo
 from .serialize import (
@@ -154,8 +155,7 @@ def cmd_check(doc: dict, sign: int):
     structural = all(verdicts.values())
     if structural:
         pair = HiggsPair(bundle, first, second)
-        comm = commutator(pair)
-        verdicts["commutation"] = comm.is_zero()
+        verdicts["commutation"] = check_commutation(pair)
         fiber_ok, fiber_verdicts = check_fiber_condition(pair, hecke)
         verdicts["fiber"] = fiber_ok
         details["fiber"] = [
@@ -168,13 +168,14 @@ def cmd_check(doc: dict, sign: int):
             {"x": str(r.x), "minimal": r.minimal, "ok": r.ok, "note": r.note}
             for r in eig_reports
         ]
-        # evaluation is a ring map, so comm(x0) is the commutator of the fiber
-        # maps.  The second preserves every generalized eigenspace of the
-        # first, with commuting restrictions, exactly when comm(x0) = 0: those
-        # eigenspaces span the fiber, and Galois conjugation carries the
-        # condition from one root of a fiber factor to all of them
+        # the second fiber map at x0 preserves every generalized eigenspace of
+        # the first, with commuting restrictions, exactly when the two commute:
+        # those eigenspaces span the fiber, and Galois conjugation carries the
+        # condition from one root of a fiber factor to all of them.  Evaluation
+        # is a ring map, so this is the commutator vanishing at x0
+        fibers = ((evaluate_endo(first, x), evaluate_endo(second, x)) for x in _SAMPLE_POINTS)
         verdicts["eigenspace_invariance"] = verdicts["commutation"] or all(
-            v == 0 for x in _SAMPLE_POINTS for row in evaluate_endo(comm, x) for v in row
+            mat_mul(a, b) == mat_mul(b, a) for a, b in fibers
         )
         details["invariance_samples"] = [str(x) for x in _SAMPLE_POINTS]
     ok = all(verdicts.values())

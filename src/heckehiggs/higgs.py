@@ -4,11 +4,13 @@ Such a field is stored as the constrained pair of its two line-bundle-twisted
 components, one of twist a and one of twist b.  A pair underlies a genuine
 twisted field exactly when the two components commute and, at every marked
 point x_i, the second component's fiber map equals lambda_i times the
-first's.  ``reconstruct`` certifies both conditions and produces the
-validated field; ``decompose`` projects back to the pair.  The backward
-spectral correspondence builds fields whose pairs satisfy both conditions
-by construction.  A field's certificate is derived from its presentation by
-``TwistedHiggsField.certificate``, the one place its format is written.
+first's.  ``check_commutation``, the one place that decides the first
+condition, compares the two products over Q[x].  ``reconstruct`` certifies
+both conditions and produces the validated field; ``decompose`` projects
+back to the pair.  The backward spectral correspondence builds fields whose
+pairs satisfy both conditions by construction.  A field's certificate is
+derived from its presentation by ``TwistedHiggsField.certificate``, the one
+place its format is written.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 from ._record import Record
 from .errors import CommutationError, FiberConditionError, ValidationError
 from .hecke import HeckeData, require_valid
+from .linalg import mat_mul
 from .projline import SplitBundle, TwistedEndo, evaluate_endo, require_valid_endo
 
 
@@ -36,13 +39,11 @@ class HiggsPair(Record):
         return self.bundle.rank
 
 
-def commutator(pair: HiggsPair) -> TwistedEndo:
-    """First*second - second*first, a twist-(a+b) endomorphism."""
-    return pair.first * pair.second - pair.second * pair.first
-
-
 def check_commutation(pair: HiggsPair) -> bool:
-    return commutator(pair).is_zero()
+    """Whether the two components commute: the products first*second and
+    second*first agree entrywise over Q[x]."""
+    a, b = pair.first.entries, pair.second.entries
+    return mat_mul(a, b) == mat_mul(b, a)
 
 
 class FiberVerdict(Record):

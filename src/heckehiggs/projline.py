@@ -3,7 +3,9 @@ in a single affine chart with coordinate x.
 
 Sections of O(n) are polynomials of degree <= n in the chart; marked points
 are required to lie in the chart, so fiber trivializations of every O(n)
-are canonical and fiber maps are plain scalar matrices.
+are canonical and fiber maps are plain scalar matrices.  A twisted
+endomorphism carries its entries, twist and degree bounds, and no
+arithmetic: products of entry matrices are ``linalg.mat_mul``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import ValidationError
-from .linalg import mat_mul
 from .poly import UniPoly
 
 
@@ -72,45 +73,6 @@ class TwistedEndo(Record):
     def bound(self, i: int, j: int) -> int:
         e = self.source.twists
         return e[i] - e[j] + self.twist
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
-    def __add__(self, other):
-        if not isinstance(other, TwistedEndo):
-            return NotImplemented
-        if self.source != other.source or self.twist != other.twist:
-            raise ValidationError("sum of endomorphisms with different twists")
-        return TwistedEndo(
-            self.source,
-            self.twist,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, TwistedEndo):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return TwistedEndo(
-            self.source,
-            self.twist,
-            tuple(tuple(-e for e in row) for row in self.entries),
-        )
-
-    def __mul__(self, other):
-        """Composition; the twists add."""
-        if not isinstance(other, TwistedEndo):
-            return NotImplemented
-        if self.source != other.source:
-            raise ValidationError("composition over different bundles")
-        return TwistedEndo(
-            self.source, self.twist + other.twist, mat_mul(self.entries, other.entries)
-        )
 
 
 class EndoViolation(Record):

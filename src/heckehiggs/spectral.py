@@ -433,7 +433,7 @@ def backward_on_curve(
     `backward_correspondence` hold: `data` is valid with the curve's twists,
     the curve is integral and psi is a polynomial.
 
-    The field is certified by construction, so no commutator is formed and
+    The field is certified by construction, so commutation is not decided and
     no matrix is evaluated.  The two components are the multiplication
     matrices of t and psi on Q[x][t]/chi, a commutative ring, so they
     commute.  chi is monic in t, so reduction mod chi commutes with

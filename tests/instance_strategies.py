@@ -112,7 +112,9 @@ def random_valid_instance(
         alpha = _random_poly(rng, b)
 
     scaled = tuple(tuple(beta * e for e in row) for row in first.entries)
-    second = TwistedEndo(bundle, b, scaled) + endo_scalar(bundle, alpha, b)
+    second = TwistedEndo(
+        bundle, b, _matrix_plus(scaled, endo_scalar(bundle, alpha, b).entries)
+    )
     pair = HiggsPair(bundle, first, second)
     return reconstruct(pair, data)
 
@@ -291,7 +293,12 @@ def perturb_second_at_point(field: TwistedHiggsField, index: int, delta=1):
         raise InfeasibleBudgetError(
             f"bump degree {bump.degree} exceeds the twist budget {data.b}"
         )
-    bumped = field.pair.second + endo_scalar(field.pair.bundle, bump, data.b)
+    second = field.pair.second
+    bumped = TwistedEndo(
+        second.source,
+        second.twist,
+        _matrix_plus(second.entries, endo_scalar(second.source, bump, data.b).entries),
+    )
     return HiggsPair(field.pair.bundle, field.pair.first, bumped)
 
 

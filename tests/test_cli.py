@@ -803,10 +803,10 @@ def test_cli_import_leaves_out_heavy_modules():
 
 class TestComputeOnce:
     """Each command derives the spectral curve, certifies its integrality and
-    forms the commutator at most once; a passing `build` factors no fiber
-    and forms no commutator, and no command runs a linear solve (the
+    decides commutation at most once; a passing `build` factors no fiber
+    and decides no commutation, and no command runs a linear solve (the
     commutant solve is Cramer's rule over Q[x]).  Counted:
-    char_poly, irreducible_over_function_field, commutator, spectral's
+    char_poly, irreducible_over_function_field, check_commutation, spectral's
     fiber_points, and linalg's solve_right."""
 
     @pytest.mark.parametrize(
@@ -828,10 +828,10 @@ class TestComputeOnce:
 
             return wrapper
 
-        # `check` calls the commutator through its own binding
-        commutator = counting("commutator", higgs_module.commutator)
-        monkeypatch.setattr(higgs_module, "commutator", commutator)
-        monkeypatch.setattr(cli_module, "commutator", commutator)
+        # `check` and the commutant solve call it through their own bindings
+        check_commutation = counting("check_commutation", higgs_module.check_commutation)
+        for module in (higgs_module, cli_module, spectral_module):
+            monkeypatch.setattr(module, "check_commutation", check_commutation)
         counted = ("char_poly", "irreducible_over_function_field", "fiber_points")
         for name in counted:
             monkeypatch.setattr(
@@ -848,7 +848,7 @@ class TestComputeOnce:
         names = (
             "char_poly",
             "irreducible_over_function_field",
-            "commutator",
+            "check_commutation",
             "fiber_points",
             "solve_right",
         )
@@ -926,8 +926,9 @@ def _reference_check(hecke, pair, sign):
 
 
 class TestCheckDerivations:
-    """`check` decides eigenspace invariance from the commutator and derives
-    the eigenvalue rows from the fiber equation; its reports match the
+    """`check` decides eigenspace invariance at each sample point x0 by
+    comparing the fiber products A(x0)B(x0) and B(x0)A(x0), and derives the
+    eigenvalue rows from the fiber equation; its reports match the
     number-field oracles, and where the fiber equation holds it builds no
     number field."""
 
@@ -975,6 +976,31 @@ class TestCheckDerivations:
         assert report["verdicts"]["fiber"] is True
         assert report["verdicts"]["eigenspace_invariance"] is False
         assert counts["NumberField"] == 0
+
+    @pytest.mark.parametrize(
+        "length, entry, invariant",
+        [
+            # q = x(x^2 - 1)(x^2 - 4) vanishes at all five sample points
+            (5, "x^5 - 5*x^3 + 4*x", True),
+            # q = x(x^2 - 1)(x - 2) vanishes at 0, 1, -1 and 2, not at -2
+            (4, "x^4 - 2*x^3 - x^2 + 2*x", False),
+        ],
+    )
+    def test_commutator_vanishing_at_the_samples(
+        self, length, entry, invariant, tmp_path, monkeypatch, capsys
+    ):
+        # Theta' = diag(q, 0), and [Theta, Theta'] = q * [[0, -1], [x, 0]]:
+        # nonzero, so the pair does not commute, but zero wherever q is
+        doc = {
+            "hecke": {"S": 1, "L": length, "points": []},
+            "E": {"twists": [0, 0]},
+            "Theta": {"twist": 1, "entries": [["0", "1"], ["x", "0"]]},
+            "ThetaPrime": {"twist": length, "entries": [[entry, "0"], ["0", "0"]]},
+        }
+        code, report, _ = self._count_check(write_doc(tmp_path, doc), monkeypatch, capsys)
+        assert code == 1
+        assert report["verdicts"]["commutation"] is False
+        assert report["verdicts"]["eigenspace_invariance"] is invariant
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_failed_fiber_equation_builds_no_number_field(

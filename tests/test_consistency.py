@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from heckehiggs.errors import DegreeBoundError
 from heckehiggs.hecke import HeckeData, HeckePoint, h0_of_twist
 from heckehiggs.higgs import HiggsPair, check_fiber_condition
-from heckehiggs.linalg import solve_right
+from heckehiggs.linalg import mat_mul, solve_right
 from heckehiggs.poly import UniPoly
 from heckehiggs.projline import SplitBundle, TwistedEndo
 from heckehiggs.spectral import (
@@ -181,8 +181,12 @@ class TestCertifiedInstanceInvariants:
     def test_fiber_condition_survives_scaling(self, field, c):
         assume(c != 0)
         bundle, first, second = field.pair.bundle, field.pair.first, field.pair.second
-        scalar = endo_scalar(bundle, UniPoly.constant(c), 0)
-        scaled = HiggsPair(bundle, scalar * first, scalar * second)
+        scalar = endo_scalar(bundle, UniPoly.constant(c), 0).entries
+
+        def scale(endo):
+            return TwistedEndo(bundle, endo.twist, mat_mul(scalar, endo.entries))
+
+        scaled = HiggsPair(bundle, scale(first), scale(second))
         assert check_fiber_condition(scaled, field.hecke)[0]
 
     @given(valid_fields(), st.data())
@@ -195,10 +199,11 @@ class TestCertifiedInstanceInvariants:
         identity = [[F(int(i == j)) for j in range(r)] for i in range(r)]
         g_inv = solve_right(g, identity, F(1))
         assume(g_inv is not None)
-        conj, conj_inv = TwistedEndo(pair.bundle, 0, g), TwistedEndo(pair.bundle, 0, g_inv)
-        conjugated = HiggsPair(
-            pair.bundle, conj * pair.first * conj_inv, conj * pair.second * conj_inv
-        )
+
+        def conjugate(endo):
+            return TwistedEndo(endo.source, endo.twist, mat_mul(mat_mul(g, endo.entries), g_inv))
+
+        conjugated = HiggsPair(pair.bundle, conjugate(pair.first), conjugate(pair.second))
         assert check_fiber_condition(conjugated, field.hecke)[0]
         assert curve_of(conjugated.first).chi == curve_of(pair.first).chi
 
