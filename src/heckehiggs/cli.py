@@ -43,7 +43,6 @@ from .serialize import (
     spectral_data_to_json,
 )
 from .spectral import (
-    EigenvalueVerdict,
     backward_correspondence,
     curve_of,
     eigenvalue_condition,
@@ -115,29 +114,6 @@ def _fiber_table(data: HeckeData, fibers: list) -> dict:
     return table
 
 
-def _eigenvalue_rows(pair, curve, hecke, fiber_verdicts, sign):
-    """The rows of `eigenvalue_condition`, in marked-point order.
-
-    Where the fiber equation second(x_i) = lambda_i * first(x_i) holds,
-    second - lambda_i * y = lambda_i * (first - y) is nilpotent on the
-    generalized eigenspace of each fiber point y.  So there a row is ok for
-    sign +1, and for sign -1 exactly when y = 0 (minimal polynomial t).
-    `eigenvalue_condition` decides the rows at the points where the equation
-    fails, over Q.
-    """
-    rows = []
-    for p, verdict in zip(hecke.points, fiber_verdicts):
-        if not verdict.ok:
-            single = HeckeData(hecke.a, hecke.b, [p])
-            rows += eigenvalue_condition(pair, curve, single, sign)[1]
-            continue
-        for point in fiber_points(curve, p.x):
-            minimal = format_unipoly(point.minimal, "t")
-            ok = sign == 1 or minimal == "t"
-            rows.append(EigenvalueVerdict(p.x, minimal, point.multiplicity, ok))
-    return rows
-
-
 def cmd_check(doc: dict, sign: int):
     hecke, bundle, first, second, _ = instance_parts_from_json(doc)
     verdicts = {}
@@ -161,9 +137,7 @@ def cmd_check(doc: dict, sign: int):
         details["fiber"] = [
             {"x": str(v.x), "ok": v.ok} for v in fiber_verdicts
         ]
-        curve = curve_of(pair.first)
-        eig_reports = _eigenvalue_rows(pair, curve, hecke, fiber_verdicts, sign)
-        verdicts["eigenvalue"] = all(r.ok for r in eig_reports)
+        verdicts["eigenvalue"], eig_reports = eigenvalue_condition(pair, hecke, sign)
         details["eigenvalue"] = [
             {"x": str(r.x), "minimal": r.minimal, "ok": r.ok, "note": r.note}
             for r in eig_reports

@@ -10,12 +10,12 @@ arithmetic: products of entry matrices are ``linalg.mat_mul``.
 
 from __future__ import annotations
 
+import numbers
 import operator
-from fractions import Fraction
 
 from ._record import Record
 from .errors import ValidationError
-from .poly import UniPoly
+from .poly import UniPoly, _as_fraction
 
 
 class SplitBundle(Record):
@@ -110,7 +110,9 @@ def require_valid_endo(endo: TwistedEndo, label: str = "endomorphism"):
 
 def evaluate_endo(endo: TwistedEndo, x0):
     """Entrywise evaluation at a chart point; the result represents the
-    fiber map in the chart trivializations."""
-    if isinstance(x0, int):
-        x0 = Fraction(x0)
+    fiber map in the chart trivializations.  A Python number or string
+    must be an int or a Fraction (a float or a string is a TypeError); an
+    algebraic point, such as a number-field element, is evaluated as it is."""
+    if isinstance(x0, (numbers.Number, str)):
+        x0 = _as_fraction(x0)
     return tuple(tuple(e.evaluate(x0) for e in row) for row in endo.entries)

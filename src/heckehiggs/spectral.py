@@ -20,7 +20,10 @@ factors p^m of chi(x0, t) over Q, each a conjugate class of points.  A
 condition at every point of a class is a polynomial identity modulo p, so
 the multiplier test is decided in Q[t], and `eigenvalue_condition` on the
 kernel of p at the semisimple part of the fiber map, over Q.  No number
-field is built.
+field is built.  Where the fiber equation second(x_i) = lambda_i * first(x_i)
+holds, every eigenvalue row follows from it (`_implied_rows`); that is all
+of a certified field's marked points, so the forward correspondence reads
+its witnesses off the same rule.
 
 Sign convention: with the kernel-of-evaluation presentation used here the
 marked-point eigenvalue is +lambda_i * y.  The opposite convention (reading
@@ -51,6 +54,7 @@ from .higgs import (
     HiggsPair,
     TwistedHiggsField,
     check_commutation,
+    check_fiber_condition,
     ensure_consistent,
 )
 from .linalg import (
@@ -172,9 +176,10 @@ def fiber_points(curve: SpectralCurve, x0) -> list:
     The specialization chi(x0, t) is factored over Q; each irreducible
     factor contributes one point, with the factorization exponent as
     multiplicity.  Multiplicities weighted by the factor degrees sum to r.
-    Every fiberwise identity is decided on these factors over Q.
+    Every fiberwise identity is decided on these factors over Q.  x0 must
+    be exact: `BiPoly.at_x` refuses a float or a string with a TypeError.
     """
-    _, factors = factor_rationals(curve.chi.at_x(Fraction(x0)))
+    _, factors = factor_rationals(curve.chi.at_x(x0))
     if sum(mult * minimal.degree for minimal, mult in factors) != curve.r:
         raise ValidationError("fiber multiplicities do not sum to the rank")
     return [SpectralFiberPoint(minimal, mult) for minimal, mult in factors]
@@ -189,38 +194,58 @@ class EigenvalueVerdict(Record):
         super().__init__(x, minimal, multiplicity, ok, note)
 
 
-def eigenvalue_condition(
-    pair: HiggsPair, curve: SpectralCurve, data: HeckeData, sign: int = 1
-):
+def _implied_rows(x: Fraction, points: list, sign: int) -> list:
+    """The eigenvalue rows above a marked point x where the fiber equation
+    second(x) = lambda * first(x) holds; `points` is the fiber above x.  On
+    the generalized eigenspace of a fiber point y,
+    second - sign * lambda * y = lambda * (first - y) + (1 - sign) * lambda * y,
+    and lambda is nonzero, so the row is ok for sign +1, and for sign -1
+    exactly when y = 0: the fiber factor is t."""
+    return [
+        EigenvalueVerdict(
+            x,
+            format_unipoly(point.minimal, "t"),
+            point.multiplicity,
+            sign == 1 or point.minimal == UniPoly.variable(),
+        )
+        for point in points
+    ]
+
+
+def eigenvalue_condition(pair: HiggsPair, data: HeckeData, sign: int = 1):
     """At each marked point x_i and each fiber point above it, the second
     component restricted to the generalized eigenspace of the point has the
-    single generalized eigenvalue sign * lambda_i * y, where y is the point.
-    `curve` is the spectral curve of the first component.  Returns (verdict,
+    single generalized eigenvalue sign * lambda_i * y, where y is the point
+    of the spectral curve of the first component.  Returns (verdict,
     per-point reports).
 
-    Decided over Q, one fiber factor p^m of chi(x_i, t) at a time.  Let A
-    and B be the fiber maps, S the semisimple part of A (A itself when every
-    m is 1) and W = ker p(S) = ker p(A)^m, the sum of the generalized
-    eigenspaces W_y of A over the roots y of p.  S is y on W_y, so the W_y
-    are the eigenspaces of S on W over the splitting field, and B preserves
-    every W_y exactly when B W is in W (p(S) B W = 0) and B commutes with S
-    on W.  Otherwise the row is "eigenspace not invariant".  If it holds,
+    Where the fiber equation second(x_i) = lambda_i * first(x_i) holds
+    (`higgs.check_fiber_condition`), the rows follow from it
+    (`_implied_rows`).  Elsewhere they are decided over Q, one fiber factor
+    p^m of chi(x_i, t) at a time.  Let A and B be the fiber maps, S the
+    semisimple part of A (A itself when every m is 1) and
+    W = ker p(S) = ker p(A)^m, the sum of the generalized eigenspaces W_y of
+    A over the roots y of p.  S is y on W_y, so the W_y are the eigenspaces
+    of S on W over the splitting field, and B preserves every W_y exactly
+    when B W is in W (p(S) B W = 0) and B commutes with S on W.  Otherwise
+    the row is "eigenspace not invariant".  If it holds,
     B - sign * lambda_i * S is B - sign * lambda_i * y on each W_y, so it is
     nilpotent on W exactly when B has the single eigenvalue
     sign * lambda_i * y on every W_y.  A and B are rational, so Galois
     conjugation carries each condition from one root of p to all of them,
-    and the row states it for each.
-
-    `check` derives the rows at the points where the fiber equation holds
-    and calls this only at the others."""
+    and the row states it for each."""
     if sign not in (1, -1):
         raise ValidationError("sign must be +1 or -1")
-    ensure_consistent(pair, data)
+    _, fiber = check_fiber_condition(pair, data)
+    curve = curve_of(pair.first)
     reports = []
-    for hp in data.points:
+    for hp, verdict in zip(data.points, fiber):
+        points = fiber_points(curve, hp.x)
+        if verdict.ok:
+            reports += _implied_rows(hp.x, points, sign)
+            continue
         first_fiber = evaluate_endo(pair.first, hp.x)
         second_fiber = evaluate_endo(pair.second, hp.x)
-        points = fiber_points(curve, hp.x)
         semisimple = first_fiber
         if any(point.multiplicity > 1 for point in points):
             squarefree = UniPoly.one()
@@ -311,25 +336,17 @@ def _solve_commutant(pair: HiggsPair):
     return psi, den
 
 
-def _verify_multiplier_eigenvalues(
-    psi: BiPoly, den: UniPoly, marked: list, fibers: list, sign: int
-):
-    """psi(x_i, y)/den(x_i) = sign * lambda_i * y at every fiber point above
-    each of the `marked` points; `fibers` holds the fiber points above each,
-    in order.  Collects witnesses of failure.
+def _verify_multiplier_eigenvalues(psi: BiPoly, marked: list, fibers: list, sign: int):
+    """psi(x_i, y) = sign * lambda_i * y at every fiber point above each of
+    the `marked` points, for a polynomial multiplier psi; `fibers` holds the
+    fiber points above each, in order.  Collects witnesses of failure.
 
     Decided in Q[t]: the identity holds at one root y of a fiber factor p,
     and then at all of them, exactly when p divides
-    psi(x_i, t) - sign * lambda_i * den(x_i) * t."""
+    psi(x_i, t) - sign * lambda_i * t."""
     witnesses = []
     for hp, points in zip(marked, fibers):
-        dval = den.evaluate(hp.x)
-        if dval == 0:
-            witnesses.append(
-                {"x": str(hp.x), "minimal": "", "note": "multiplier has a pole"}
-            )
-            continue
-        residual = psi.at_x(hp.x) - UniPoly((0, sign * hp.scale * dval))
+        residual = psi.at_x(hp.x) - UniPoly((0, sign * hp.scale))
         for point in points:
             if residual % point.minimal:
                 witnesses.append(
@@ -345,8 +362,9 @@ def _verify_multiplier_eigenvalues(
 def forward_correspondence(field: TwistedHiggsField, sign: int = 1) -> SpectralData:
     """From a certified twisted field to its rank-1 spectral datum.
 
-    The curve must be integral; the multiplier is re-verified to hit
-    sign * lambda_i * y at every fiber point above the marked points.
+    The curve must be integral, and the multiplier psi/den must hit
+    sign * lambda_i * y at every fiber point y above the marked points; the
+    witnesses of a miss follow from the fiber equation (`forward_on_curve`).
     """
     ensure_consistent(field.pair, field.hecke)
     curve = curve_of(field.pair.first)
@@ -361,11 +379,27 @@ def forward_on_curve(
     """The forward correspondence once `curve`, the spectral curve of the
     field's first component, is known to be integral; `fibers` holds its
     fiber points above each marked point, in order.  Commutation needs no
-    second check: every TwistedHiggsField is certified to commute."""
+    second check: every TwistedHiggsField is certified to commute.
+
+    The multiplier's witnesses need no remainder.  den * B = psi(A) over
+    Q[x] and B(x_i) = lambda_i * A(x_i), so
+    R(t) = psi(x_i, t) - den(x_i) * lambda_i * t annihilates A(x_i) and every
+    fiber factor p divides R.  Where den(x_i) is nonzero, psi/den hits
+    sign * lambda_i * y at the roots of p exactly when p divides
+    R + (1 - sign) * lambda_i * den(x_i) * t: always for sign +1, and for
+    sign -1 exactly when p = t.  Those are the failing `_implied_rows`;
+    a zero of den at x_i is a pole of the multiplier."""
     psi, den = _solve_commutant(field.pair)
-    witnesses = _verify_multiplier_eigenvalues(
-        psi, den, field.hecke.points, fibers, sign
-    )
+    witnesses = []
+    for hp, points in zip(field.hecke.points, fibers):
+        if den.evaluate(hp.x) == 0:
+            witnesses.append({"x": str(hp.x), "minimal": "", "note": "multiplier has a pole"})
+            continue
+        witnesses += [
+            {"x": str(row.x), "minimal": row.minimal, "note": "eigenvalue mismatch"}
+            for row in _implied_rows(hp.x, points, sign)
+            if not row.ok
+        ]
     if witnesses:
         raise EigenvalueConditionError(
             "multiplier misses the marked-point eigenvalues", witnesses
@@ -405,6 +439,14 @@ def backward_correspondence(
     polynomial (denominator 1) with psi(x_i, t) = sign * lambda_i * t mod
     chi(x_i, t) at every marked point; with sign = -1 the scalars are flipped
     so the output is certified under the flipped presentation.
+
+    The field is certified by construction, so commutation is not decided and
+    no matrix is evaluated.  The two components are the multiplication
+    matrices of t and psi on Q[x][t]/chi, a commutative ring, so they
+    commute.  chi is monic in t, so reduction mod chi commutes with
+    specializing x: at x_i they are the multiplication matrices of t and
+    psi(x_i, t) on Q[t]/chi(x_i, t).  The congruence, checked first, is then
+    the fiber equation second(x_i) = sign * lambda_i * first(x_i).
     """
     if sign not in (1, -1):
         raise ValidationError("sign must be +1 or -1")
@@ -423,25 +465,6 @@ def backward_correspondence(
         raise ValidationError(
             "structure-module model needs a polynomial multiplier (denominator 1)"
         )
-    return backward_on_curve(spectral, data, sign)
-
-
-def backward_on_curve(
-    spectral: SpectralData, data: HeckeData, sign: int
-) -> TwistedHiggsField:
-    """The backward correspondence once the input checks of
-    `backward_correspondence` hold: `data` is valid with the curve's twists,
-    the curve is integral and psi is a polynomial.
-
-    The field is certified by construction, so commutation is not decided and
-    no matrix is evaluated.  The two components are the multiplication
-    matrices of t and psi on Q[x][t]/chi, a commutative ring, so they
-    commute.  chi is monic in t, so reduction mod chi commutes with
-    specializing x: at x_i they are the multiplication matrices of t and
-    psi(x_i, t) on Q[t]/chi(x_i, t).  The congruence
-    psi(x_i, t) = sign * lambda_i * t mod chi(x_i, t), checked first, is
-    then the fiber equation second(x_i) = sign * lambda_i * first(x_i)."""
-    curve = spectral.curve
     # the fiber equation in Q[t]/chi(x_i, t) implies the pointwise check at
     # every fiber point, so fibers are factored only to name a miss
     missed = [
@@ -452,9 +475,7 @@ def backward_on_curve(
     ]
     if missed:
         fibers = [fiber_points(curve, hp.x) for hp in missed]
-        witnesses = _verify_multiplier_eigenvalues(
-            spectral.psi, spectral.psi_denominator, missed, fibers, sign
-        )
+        witnesses = _verify_multiplier_eigenvalues(spectral.psi, missed, fibers, sign)
         message = "multiplier misses the marked-point eigenvalues"
         if not witnesses:
             # a non-reduced fiber: the pointwise check is weaker there

@@ -109,7 +109,7 @@ class TestCriterion2EigenvalueConvention:
         nonzero_fiber_instances = 0
         for field in corpus:
             curve = curve_of(field.pair.first)
-            ok_plus, _ = eigenvalue_condition(field.pair, curve, field.hecke, 1)
+            ok_plus, _ = eigenvalue_condition(field.pair, field.hecke, 1)
             assert ok_plus
             has_nonzero = False
             for hp in field.hecke.points:
@@ -118,7 +118,7 @@ class TestCriterion2EigenvalueConvention:
                         has_nonzero = True
             if has_nonzero:
                 nonzero_fiber_instances += 1
-                ok_minus, _ = eigenvalue_condition(field.pair, curve, field.hecke, -1)
+                ok_minus, _ = eigenvalue_condition(field.pair, field.hecke, -1)
                 if not ok_minus:
                     minus_failures += 1
         assert nonzero_fiber_instances > 0

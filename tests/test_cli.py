@@ -25,7 +25,8 @@ from heckehiggs.numfield import NumberField
 from heckehiggs.poly import RationalFunction
 from heckehiggs.spectral import curve_of
 from instance_strategies import instances
-from oracles import eigenspace_invariance, eigenvalue_condition
+from oracles import eigenspace_invariance
+from oracles import eigenvalue_condition as oracle_eigenvalue_condition
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -340,6 +341,31 @@ class TestSignFlag:
         code, report, _ = run(capsys, "--no-timing", "--sign", "-1", "build", path)
         assert code == 0
         assert report["instance"]["hecke"]["points"][0]["lambda"] == "1"
+
+
+# a certified field on the integral curve t^2 - 2t + 1 - x^5: Theta - 1 is
+# x^2 [[0, 1], [x, 0]] and ThetaPrime - Theta is x [[0, 1], [x, 0]], so the
+# multiplier is ((x + 1) t - 1) / x, with a pole at the marked point 0
+POLE_AT_MARKED_POINT = {
+    "hecke": {"S": 3, "L": 3, "points": [{"x": "0", "lambda": "1"}]},
+    "E": {"twists": [0, 0]},
+    "Theta": {"twist": 3, "entries": [["1", "x^2"], ["x^3", "1"]]},
+    "ThetaPrime": {"twist": 3, "entries": [["1", "x^2 + x"], ["x^3 + x^2", "1"]]},
+}
+
+
+class TestForwardRule:
+    @pytest.mark.parametrize("sign", ["1", "-1"])
+    def test_pole_at_a_marked_point_is_the_witness(self, sign, tmp_path, capsys):
+        path = write_doc(tmp_path, POLE_AT_MARKED_POINT)
+        code, report, _ = run(capsys, "--no-timing", "--sign", sign, "spectral", path)
+        assert code == 1
+        assert report["curve"]["chi"] == "t^2 - 2*t - x^5 + 1"
+        assert report["integral"] is True
+        assert report["error"]["kind"] == "EigenvalueConditionError"
+        assert report["error"]["witnesses"] == [
+            {"x": "0", "minimal": "", "note": "multiplier has a pole"}
+        ]
 
 
 class TestDeterminism:
@@ -806,15 +832,15 @@ class TestComputeOnce:
     decides commutation at most once; a passing `build` factors no fiber
     and decides no commutation, and no command runs a linear solve (the
     commutant solve is Cramer's rule over Q[x]).  Counted:
-    char_poly, irreducible_over_function_field, check_commutation, spectral's
+    char_poly, irreducible_over_function_field, check_commutation,
     fiber_points, and linalg's solve_right."""
 
     @pytest.mark.parametrize(
         "command, expected",
         [
-            ("check", (1, 0, 1, 0, 0)),
+            ("check", (1, 0, 1, 1, 0)),
             ("reconstruct", (0, 0, 1, 0, 0)),
-            ("spectral", (1, 1, 1, 0, 0)),
+            ("spectral", (1, 1, 1, 1, 0)),
             ("build", (0, 1, 0, 0, 0)),
         ],
     )
@@ -832,7 +858,11 @@ class TestComputeOnce:
         check_commutation = counting("check_commutation", higgs_module.check_commutation)
         for module in (higgs_module, cli_module, spectral_module):
             monkeypatch.setattr(module, "check_commutation", check_commutation)
-        counted = ("char_poly", "irreducible_over_function_field", "fiber_points")
+        # and `spectral` factors its fibers through cli's binding
+        fiber_points = counting("fiber_points", spectral_module.fiber_points)
+        for module in (spectral_module, cli_module):
+            monkeypatch.setattr(module, "fiber_points", fiber_points)
+        counted = ("char_poly", "irreducible_over_function_field")
         for name in counted:
             monkeypatch.setattr(
                 spectral_module, name, counting(name, getattr(spectral_module, name))
@@ -902,7 +932,7 @@ def _reference_check(hecke, pair, sign):
     the fiberwise oracles."""
     fiber_ok, fiber = check_fiber_condition(pair, hecke)
     curve = curve_of(pair.first)
-    eig_ok, rows = eigenvalue_condition(pair, curve, hecke, sign)
+    eig_ok, rows = oracle_eigenvalue_condition(pair, curve, hecke, sign)
     verdicts = {
         "hecke_valid": True,
         "theta_bounds": True,

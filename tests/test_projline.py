@@ -103,6 +103,18 @@ class TestEndoAlgebra:
         endo2 = TwistedEndo(SplitBundle([0, 0]), 2, [[X, 1], [X**2, X]])
         assert evaluate_endo(endo2, 2) == ((F(2), F(1)), (F(4), F(2)))
 
+    @pytest.mark.parametrize("x0", [0.5, "1/2"])
+    def test_evaluate_refuses_an_inexact_point(self, x0):
+        endo = TwistedEndo(SplitBundle([0, 0]), 1, [[0, 1], [X, 0]])
+        with pytest.raises(TypeError):
+            evaluate_endo(endo, x0)
+
+    def test_evaluate_at_an_int_is_exact(self):
+        endo = TwistedEndo(SplitBundle([0, 0]), 1, [[0, 1], [X, 0]])
+        fiber = evaluate_endo(endo, 3)
+        assert fiber == ((F(0), F(1)), (F(3), F(0)))
+        assert all(type(e) is F for row in fiber for e in row)
+
     def test_evaluate_at_number_field_point(self):
         from heckehiggs.numfield import NumberField
         from heckehiggs.poly import parse_unipoly

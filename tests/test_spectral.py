@@ -1,6 +1,8 @@
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -243,6 +245,14 @@ class TestFiberPoints:
         assert pts[0].multiplicity == 1
         assert pts[0].minimal == parse_unipoly("x^2 - 2")
 
+    @pytest.mark.parametrize("x0", [0.25, "1/4"])
+    def test_inexact_point_refused(self, x0):
+        with pytest.raises(TypeError):
+            fiber_points(curve_of(THETA), x0)
+
+    def test_int_point_is_its_fraction(self):
+        assert fiber_points(curve_of(THETA), 4) == fiber_points(curve_of(THETA), F(4))
+
     def test_trace_identity(self):
         rng = random.Random(12)
         for _ in range(10):
@@ -310,25 +320,25 @@ class TestOracleProperties:
     @given(instances(), st.data())
     @settings(max_examples=30, deadline=None)
     def test_divisibility_witnesses_are_the_pointwise_ones(self, instance, data):
+        # the polynomial multipliers `build` tests; a pole is a forward
+        # witness (TestForwardWitnesses, tests/test_cli.py::TestForwardRule)
         hecke, pair = instance
         curve = curve_of(pair.first)
-        psi, den = BiPoly.t(), UniPoly.one()
+        psi = BiPoly.t()
         if check_commutation(pair) and is_integral(curve)[0]:
-            psi, den = commutant_coordinates(pair)
-        # add c * x^i * t^k to psi, and sometimes a pole at a marked point
+            psi, _ = commutant_coordinates(pair)
+        # add c * x^i * t^k to psi
         k = data.draw(st.integers(0, pair.rank - 1))
         i = data.draw(st.integers(0, 2))
         c = data.draw(st.sampled_from((0, 1, -1, F(1, 2))))
         psi = psi + BiPoly((UniPoly.zero(),) * k + (c * X**i,))
-        if hecke.points and data.draw(st.booleans()):
-            den = den * UniPoly((-hecke.points[-1].x, 1))
         fibers = [fiber_points(curve, hp.x) for hp in hecke.points]
         for sign in (1, -1):
             divisibility = spectral_module._verify_multiplier_eigenvalues(
-                psi, den, hecke.points, fibers, sign
+                psi, hecke.points, fibers, sign
             )
             assert divisibility == pointwise_multiplier_witnesses(
-                psi, den, curve, hecke.points, sign
+                psi, UniPoly.one(), curve, hecke.points, sign
             )
 
     @given(instances())
@@ -338,7 +348,7 @@ class TestOracleProperties:
         curve = curve_of(pair.first)
         _, fiber = check_fiber_condition(pair, hecke)
         for sign in (1, -1):
-            _, rows = eigenvalue_condition(pair, curve, hecke, sign)
+            _, rows = eigenvalue_condition(pair, hecke, sign)
             for p, verdict in zip(hecke.points, fiber):
                 if not verdict.ok:
                     continue
@@ -357,7 +367,7 @@ class TestOracleProperties:
         curve = curve_of(pair.first)
         quadratics = {format_unipoly(p, "t") for p in QUADRATICS}
         for sign in (1, -1):
-            verdict, rows = eigenvalue_condition(pair, curve, hecke, sign)
+            verdict, rows = eigenvalue_condition(pair, hecke, sign)
             assert (verdict, rows) == oracle_eigenvalue_condition(pair, curve, hecke, sign)
             if kind == "mixing":
                 # B keeps W but swaps nothing into place: no quadratic row is
@@ -383,9 +393,7 @@ SQRT2 = companion(QUADRATICS[0])  # t^2 - 2
 
 class TestEigenvalueCondition:
     def test_worked_instance(self):
-        ok, reports = eigenvalue_condition(
-            HiggsPair(E2, THETA, THETA), curve_of(THETA), H_ONE, 1
-        )
+        ok, reports = eigenvalue_condition(HiggsPair(E2, THETA, THETA), H_ONE, 1)
         assert ok
         assert reports[0].multiplicity == 2
 
@@ -393,21 +401,21 @@ class TestEigenvalueCondition:
         data = HeckeData(1, 2, [HeckePoint(F(1), F(2))])
         second = TwistedEndo(E2, 2, [[0, 2 * X], [2 * X**2, 0]])
         pair = HiggsPair(E2, THETA, second)
-        ok, reports = eigenvalue_condition(pair, curve_of(THETA), data, 1)
+        ok, reports = eigenvalue_condition(pair, data, 1)
         assert ok and len(reports) == 2
 
     def test_flipped_scalar_fails(self):
         data = HeckeData(1, 2, [HeckePoint(F(1), F(-2))])
         second = TwistedEndo(E2, 2, [[0, 2 * X], [2 * X**2, 0]])
-        ok, _ = eigenvalue_condition(HiggsPair(E2, THETA, second), curve_of(THETA), data, 1)
+        ok, _ = eigenvalue_condition(HiggsPair(E2, THETA, second), data, 1)
         assert not ok
 
     def test_sign_flip_detects_convention(self):
         data = HeckeData(1, 2, [HeckePoint(F(1), F(2))])
         second = TwistedEndo(E2, 2, [[0, 2 * X], [2 * X**2, 0]])
         pair = HiggsPair(E2, THETA, second)
-        ok_plus, _ = eigenvalue_condition(pair, curve_of(THETA), data, 1)
-        ok_minus, _ = eigenvalue_condition(pair, curve_of(THETA), data, -1)
+        ok_plus, _ = eigenvalue_condition(pair, data, 1)
+        ok_minus, _ = eigenvalue_condition(pair, data, -1)
         assert ok_plus and not ok_minus
 
     def test_implied_by_fiber_condition(self):
@@ -418,12 +426,12 @@ class TestEigenvalueCondition:
             points = [HeckePoint(F(x), F(rng.choice([1, -1, 2]))) for x in xs]
             data = HeckeData(2, 2, points)
             field = random_valid_instance(data, E2, 2 - max(length - 1, 0), seed)
-            ok, _ = eigenvalue_condition(field.pair, curve_of(field.pair.first), data, 1)
+            ok, _ = eigenvalue_condition(field.pair, data, 1)
             assert ok
 
     def test_invalid_sign_rejected(self):
         with pytest.raises(ValidationError):
-            eigenvalue_condition(HiggsPair(E2, THETA, THETA), curve_of(THETA), H_ONE, 2)
+            eigenvalue_condition(HiggsPair(E2, THETA, THETA), H_ONE, 2)
 
     def _rows(self, first, second, scale, sign):
         """The rows at x = 0 with lambda = scale; the number-field oracle
@@ -431,7 +439,7 @@ class TestEigenvalueCondition:
         pair = _constant_pair(first, second)
         data = HeckeData(1, 1, [HeckePoint(F(0), F(scale))])
         curve = curve_of(pair.first)
-        result = eigenvalue_condition(pair, curve, data, sign)
+        result = eigenvalue_condition(pair, data, sign)
         assert result == oracle_eigenvalue_condition(pair, curve, data, sign)
         return [(r.minimal, r.multiplicity, r.ok, r.note) for r in result[1]]
 
@@ -588,6 +596,27 @@ class TestForward:
         field = reconstruct(HiggsPair(E2, diag, zero), HeckeData(1, 1, []))
         with pytest.raises(NonIntegralError):
             forward_correspondence(field)
+
+
+class TestForwardWitnesses:
+    """The forward correspondence reads its witnesses off the fiber equation:
+    they are the pointwise ones at one root of every fiber factor."""
+
+    @given(valid_fields())
+    @settings(max_examples=25, deadline=None)
+    def test_witnesses_are_the_pointwise_ones(self, field):
+        curve = curve_of(field.pair.first)
+        assume(is_integral(curve)[0])
+        psi, den = commutant_coordinates(field.pair)
+        for sign in (1, -1):
+            try:
+                forward_correspondence(field, sign)
+                witnesses = []
+            except EigenvalueConditionError as exc:
+                witnesses = list(exc.witnesses)
+            assert witnesses == pointwise_multiplier_witnesses(
+                psi, den, curve, field.hecke.points, sign
+            )
 
 
 class TestBackward:
@@ -934,3 +963,36 @@ class TestMultiplicationMatrix:
                 comp = multiplication_matrix(curve, BiPoly.t(), a)
                 assert validate_twisted_endo(comp) == []
                 assert char_poly(comp.entries) == chi
+
+
+PACKAGE = Path(spectral_module.__file__).parent
+
+
+def verdict_constructions(source: str) -> list:
+    """The lines of `source` that call `EigenvalueVerdict`, by name or as an
+    attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and "EigenvalueVerdict"
+        in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+
+
+def test_only_spectral_builds_eigenvalue_rows():
+    building = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if verdict_constructions(path.read_text(encoding="utf-8"))
+    ]
+    assert building == ["spectral.py"]
+
+
+def test_verdict_guard_catches_a_construction():
+    source = (
+        "EigenvalueVerdict(0, 't', 1, True)\n"
+        "x = spectral.EigenvalueVerdict\n"
+        "spectral.EigenvalueVerdict(0, 't', 1, True)\n"
+    )
+    assert verdict_constructions(source) == [1, 3]
