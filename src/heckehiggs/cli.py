@@ -27,7 +27,7 @@ from .errors import (
     RetryExhaustedError,
     ValidationError,
 )
-from .hecke import HeckeData, make_presentation, validate
+from .hecke import HeckeData, make_presentation, require_valid, validate
 from .higgs import HiggsPair, check_commutation, check_fiber_condition, reconstruct
 from .linalg import mat_mul
 from .poly import format_unipoly, parse_fraction
@@ -135,9 +135,9 @@ def cmd_check(doc: dict, sign: int):
         fiber_ok, fiber_verdicts = check_fiber_condition(pair, hecke)
         verdicts["fiber"] = fiber_ok
         details["fiber"] = [
-            {"x": str(v.x), "ok": v.ok} for v in fiber_verdicts
+            {"x": str(v.point.x), "ok": v.ok} for v in fiber_verdicts
         ]
-        verdicts["eigenvalue"], eig_reports = eigenvalue_condition(pair, hecke, sign)
+        verdicts["eigenvalue"], eig_reports = eigenvalue_condition(pair, fiber_verdicts, sign)
         details["eigenvalue"] = [
             {"x": str(r.x), "minimal": r.minimal, "ok": r.ok, "note": r.note}
             for r in eig_reports
@@ -188,6 +188,7 @@ def cmd_reconstruct(doc: dict, sign: int):
 
 def cmd_spectral(doc: dict, sign: int):
     hecke, pair, _ = instance_from_json(doc)
+    require_valid(hecke)
     report = {"command": "spectral", "version": __version__, "sign": sign}
     curve = curve_of(pair.first)
     report["char_coefficients"] = [format_unipoly(s) for s in curve.char_coefficients]

@@ -5,12 +5,13 @@ components, one of twist a and one of twist b.  A pair underlies a genuine
 twisted field exactly when the two components commute and, at every marked
 point x_i, the second component's fiber map equals lambda_i times the
 first's.  ``check_commutation``, the one place that decides the first
-condition, compares the two products over Q[x].  ``reconstruct`` certifies
-both conditions and produces the validated field; ``decompose`` projects
-back to the pair.  The backward spectral correspondence builds fields whose
-pairs satisfy both conditions by construction.  A field's certificate is
-derived from its presentation by ``TwistedHiggsField.certificate``, the one
-place its format is written.
+condition, compares the two products over Q[x]; ``check_fiber_condition``,
+which decides the second, is the one place a component is evaluated at a
+marked point.  ``reconstruct`` certifies both conditions and produces the
+validated field; ``decompose`` projects back to the pair.  The backward
+spectral correspondence builds fields whose pairs satisfy both conditions
+by construction.  A field's certificate is derived from its presentation by
+``TwistedHiggsField.certificate``, the one place its format is written.
 """
 
 from __future__ import annotations
@@ -47,29 +48,25 @@ def check_commutation(pair: HiggsPair) -> bool:
 
 
 class FiberVerdict(Record):
-    """The fiber equation at one marked point; `residual` is
-    second(x) - lambda * first(x)."""
+    """The fiber equation at one marked point: `first` and `second` are the
+    two components' fiber maps at `point.x`, and `ok` says whether
+    second = lambda * first there."""
 
-    __slots__ = ("x", "ok", "residual")
+    __slots__ = ("point", "ok", "first", "second")
 
 
 def check_fiber_condition(pair: HiggsPair, data: HeckeData):
     """Exact fiber equation second(x_i) = lambda_i * first(x_i) at every
-    marked point.  Returns (all_ok, per-point verdicts)."""
+    marked point.  Returns (all_ok, per-point verdicts), which carry the
+    fiber maps on to `spectral.eigenvalue_condition`."""
     ensure_consistent(pair, data)
     verdicts = []
-    all_ok = True
     for p in data.points:
-        lhs = evaluate_endo(pair.second, p.x)
-        rhs = evaluate_endo(pair.first, p.x)
-        residual = tuple(
-            tuple(l - p.scale * r for l, r in zip(rl, rr))
-            for rl, rr in zip(lhs, rhs)
-        )
-        ok = all(v == 0 for row in residual for v in row)
-        all_ok = all_ok and ok
-        verdicts.append(FiberVerdict(p.x, ok, residual))
-    return all_ok, verdicts
+        first = evaluate_endo(pair.first, p.x)
+        second = evaluate_endo(pair.second, p.x)
+        ok = second == tuple(tuple(p.scale * f for f in row) for row in first)
+        verdicts.append(FiberVerdict(p, ok, first, second))
+    return all(v.ok for v in verdicts), verdicts
 
 
 def ensure_consistent(pair: HiggsPair, data: HeckeData):
@@ -120,7 +117,7 @@ def reconstruct(pair: HiggsPair, data: HeckeData) -> TwistedHiggsField:
         raise CommutationError("components do not commute")
     ok, verdicts = check_fiber_condition(pair, data)
     if not ok:
-        failing = [v.x for v in verdicts if not v.ok]
+        failing = [v.point.x for v in verdicts if not v.ok]
         raise FiberConditionError(
             "fiber equation fails at " + ", ".join(str(x) for x in failing),
             points=failing,

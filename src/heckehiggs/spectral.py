@@ -54,7 +54,6 @@ from .higgs import (
     HiggsPair,
     TwistedHiggsField,
     check_commutation,
-    check_fiber_condition,
     ensure_consistent,
 )
 from .linalg import (
@@ -75,7 +74,6 @@ from .poly import (
 from .projline import (
     SplitBundle,
     TwistedEndo,
-    evaluate_endo,
     require_valid_endo,
     validate_twisted_endo,
 )
@@ -212,18 +210,19 @@ def _implied_rows(x: Fraction, points: list, sign: int) -> list:
     ]
 
 
-def eigenvalue_condition(pair: HiggsPair, data: HeckeData, sign: int = 1):
+def eigenvalue_condition(pair: HiggsPair, fiber: list, sign: int = 1):
     """At each marked point x_i and each fiber point above it, the second
     component restricted to the generalized eigenspace of the point has the
     single generalized eigenvalue sign * lambda_i * y, where y is the point
-    of the spectral curve of the first component.  Returns (verdict,
-    per-point reports).
+    of the spectral curve of the first component.  `fiber` holds the
+    verdicts of `higgs.check_fiber_condition` on the pair, one per marked
+    point, with the two fiber maps there; no component is evaluated here.
+    Returns (verdict, per-point reports).
 
-    Where the fiber equation second(x_i) = lambda_i * first(x_i) holds
-    (`higgs.check_fiber_condition`), the rows follow from it
-    (`_implied_rows`).  Elsewhere they are decided over Q, one fiber factor
-    p^m of chi(x_i, t) at a time.  Let A and B be the fiber maps, S the
-    semisimple part of A (A itself when every m is 1) and
+    Where the fiber equation second(x_i) = lambda_i * first(x_i) holds, the
+    rows follow from it (`_implied_rows`).  Elsewhere they are decided over
+    Q, one fiber factor p^m of chi(x_i, t) at a time.  Let A and B be the
+    fiber maps, S the semisimple part of A (A itself when every m is 1) and
     W = ker p(S) = ker p(A)^m, the sum of the generalized eigenspaces W_y of
     A over the roots y of p.  S is y on W_y, so the W_y are the eigenspaces
     of S on W over the splitting field, and B preserves every W_y exactly
@@ -236,34 +235,32 @@ def eigenvalue_condition(pair: HiggsPair, data: HeckeData, sign: int = 1):
     and the row states it for each."""
     if sign not in (1, -1):
         raise ValidationError("sign must be +1 or -1")
-    _, fiber = check_fiber_condition(pair, data)
     curve = curve_of(pair.first)
     reports = []
-    for hp, verdict in zip(data.points, fiber):
+    for verdict in fiber:
+        hp = verdict.point
         points = fiber_points(curve, hp.x)
         if verdict.ok:
             reports += _implied_rows(hp.x, points, sign)
             continue
-        first_fiber = evaluate_endo(pair.first, hp.x)
-        second_fiber = evaluate_endo(pair.second, hp.x)
-        semisimple = first_fiber
+        semisimple = verdict.first
         if any(point.multiplicity > 1 for point in points):
             squarefree = UniPoly.one()
             for point in points:
                 squarefree = squarefree * point.minimal
-            semisimple = semisimple_part(first_fiber, squarefree)
+            semisimple = semisimple_part(verdict.first, squarefree)
         target = sign * hp.scale
         shifted = tuple(
             tuple(b - target * s for b, s in zip(row_b, row_s))
-            for row_b, row_s in zip(second_fiber, semisimple)
+            for row_b, row_s in zip(verdict.second, semisimple)
         )
         for point in points:
             annihilator = poly_at_matrix(point.minimal, semisimple)
             basis = tuple(zip(*kernel_basis(annihilator, Fraction(1))))  # columns span W
-            image = mat_mul(second_fiber, basis)
+            image = mat_mul(verdict.second, basis)
             ok, note = False, "eigenspace not invariant"
             if mat_is_zero(mat_mul(annihilator, image)) and mat_eq(
-                mat_mul(semisimple, image), mat_mul(second_fiber, mat_mul(semisimple, basis))
+                mat_mul(semisimple, image), mat_mul(verdict.second, mat_mul(semisimple, basis))
             ):
                 # nilpotent on W: dim W applications of it kill W
                 for _ in range(len(basis[0])):

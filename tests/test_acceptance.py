@@ -13,7 +13,7 @@ import pytest
 from heckehiggs.cli import main
 from heckehiggs.errors import FiberConditionError
 from heckehiggs.hecke import HeckeData, HeckePoint, make_presentation, splitting_type
-from heckehiggs.higgs import HiggsPair, decompose, reconstruct
+from heckehiggs.higgs import HiggsPair, check_fiber_condition, decompose, reconstruct
 from heckehiggs.linalg import char_poly
 from heckehiggs.poly import BiPoly, UniPoly
 from heckehiggs.projline import SplitBundle, TwistedEndo
@@ -109,7 +109,8 @@ class TestCriterion2EigenvalueConvention:
         nonzero_fiber_instances = 0
         for field in corpus:
             curve = curve_of(field.pair.first)
-            ok_plus, _ = eigenvalue_condition(field.pair, field.hecke, 1)
+            fiber = check_fiber_condition(field.pair, field.hecke)[1]
+            ok_plus, _ = eigenvalue_condition(field.pair, fiber, 1)
             assert ok_plus
             has_nonzero = False
             for hp in field.hecke.points:
@@ -118,7 +119,7 @@ class TestCriterion2EigenvalueConvention:
                         has_nonzero = True
             if has_nonzero:
                 nonzero_fiber_instances += 1
-                ok_minus, _ = eigenvalue_condition(field.pair, field.hecke, -1)
+                ok_minus, _ = eigenvalue_condition(field.pair, fiber, -1)
                 if not ok_minus:
                     minus_failures += 1
         assert nonzero_fiber_instances > 0

@@ -16,6 +16,7 @@ import heckehiggs.cli as cli_module
 import heckehiggs.hecke as hecke_module
 import heckehiggs.higgs as higgs_module
 import heckehiggs.linalg as linalg_module
+import heckehiggs.projline as projline_module
 import heckehiggs.spectral as spectral_module
 from heckehiggs.cli import _SAMPLE_POINTS, cmd_check, main
 from heckehiggs.hecke import make_presentation
@@ -137,6 +138,30 @@ class TestSpectralCommand:
         assert code == 1
         assert report["integral"] is False
         assert report["certificate"]["factor"] in ("t - x", "t - x - 1")
+
+    @pytest.mark.parametrize(
+        "theta",
+        [[["x", "0"], ["0", "x"]], [["0", "1"], ["x", "0"]]],
+        ids=["non-integral-curve", "integral-curve"],
+    )
+    def test_invalid_presentation_is_input_error(self, theta, tmp_path, capsys):
+        # a zero scalar and a repeated point: refused before the curve is
+        # built, with reconstruct's message, whatever the curve
+        doc = dict(WORKED)
+        doc["hecke"] = {
+            "S": 1,
+            "L": 1,
+            "points": [{"x": "0", "lambda": "0"}, {"x": "0", "lambda": "1"}],
+        }
+        doc["Theta"] = doc["ThetaPrime"] = {"twist": 1, "entries": theta}
+        path = write_doc(tmp_path, doc)
+        _, expected, _ = run(capsys, "--no-timing", "reconstruct", path)
+        code, report, _ = run(capsys, "--no-timing", "spectral", path)
+        assert code == 2
+        assert report["error"]["kind"] == "input"
+        assert report["error"]["message"] == expected["error"]["message"] == (
+            "point 0 at x=0 has zero scalar; duplicate marked point x=0 (indices 0, 1)"
+        )
 
     def test_non_reduced_instance(self, tmp_path, capsys):
         doc = dict(WORKED)
@@ -828,23 +853,27 @@ def test_cli_import_leaves_out_heavy_modules():
 
 
 class TestComputeOnce:
-    """Each command derives the spectral curve, certifies its integrality and
-    decides commutation at most once; a passing `build` factors no fiber
-    and decides no commutation, and no command runs a linear solve (the
-    commutant solve is Cramer's rule over Q[x]).  Counted:
+    """Each command derives the spectral curve, certifies its integrality,
+    decides commutation and evaluates each component at each marked point
+    at most once; a passing `build` factors no fiber, decides no
+    commutation and evaluates no component, and no command runs a linear
+    solve (the commutant solve is Cramer's rule over Q[x]).  Counted:
     char_poly, irreducible_over_function_field, check_commutation,
-    fiber_points, and linalg's solve_right."""
+    fiber_points, linalg's solve_right, evaluate_endo and
+    check_fiber_condition."""
 
-    @pytest.mark.parametrize(
-        "command, expected",
-        [
-            ("check", (1, 0, 1, 1, 0)),
-            ("reconstruct", (0, 0, 1, 0, 0)),
-            ("spectral", (1, 1, 1, 1, 0)),
-            ("build", (0, 1, 0, 0, 0)),
-        ],
+    NAMES = (
+        "char_poly",
+        "irreducible_over_function_field",
+        "check_commutation",
+        "fiber_points",
+        "solve_right",
+        "evaluate_endo",
+        "check_fiber_condition",
     )
-    def test_golden_instance(self, command, expected, tmp_path, monkeypatch, capsys):
+
+    @staticmethod
+    def counts(monkeypatch) -> Counter:
         counts = Counter()
 
         def counting(name, fn):
@@ -854,35 +883,59 @@ class TestComputeOnce:
 
             return wrapper
 
-        # `check` and the commutant solve call it through their own bindings
-        check_commutation = counting("check_commutation", higgs_module.check_commutation)
-        for module in (higgs_module, cli_module, spectral_module):
-            monkeypatch.setattr(module, "check_commutation", check_commutation)
-        # and `spectral` factors its fibers through cli's binding
-        fiber_points = counting("fiber_points", spectral_module.fiber_points)
-        for module in (spectral_module, cli_module):
-            monkeypatch.setattr(module, "fiber_points", fiber_points)
-        counted = ("char_poly", "irreducible_over_function_field")
-        for name in counted:
+        # these are counted through every module binding: `check` and the
+        # commutant solve call check_commutation through their own, and
+        # `spectral` factors its fibers through cli's
+        for name, module in (
+            ("check_commutation", higgs_module),
+            ("fiber_points", spectral_module),
+            ("evaluate_endo", projline_module),
+            ("check_fiber_condition", higgs_module),
+        ):
+            original = getattr(module, name)
+            wrapper = counting(name, original)
+            for bound in list(sys.modules.values()):
+                if getattr(bound, "__name__", "").startswith("heckehiggs") and (
+                    getattr(bound, name, None) is original
+                ):
+                    monkeypatch.setattr(bound, name, wrapper)
+        for name in ("char_poly", "irreducible_over_function_field"):
             monkeypatch.setattr(
                 spectral_module, name, counting(name, getattr(spectral_module, name))
             )
         monkeypatch.setattr(
             linalg_module, "solve_right", counting("solve_right", linalg_module.solve_right)
         )
+        return counts
+
+    @pytest.mark.parametrize(
+        "command, expected",
+        [
+            ("check", (1, 0, 1, 1, 0, 2, 1)),
+            ("reconstruct", (0, 0, 1, 0, 0, 2, 1)),
+            ("spectral", (1, 1, 1, 1, 0, 2, 1)),
+            ("build", (0, 1, 0, 0, 0, 0, 0)),
+        ],
+    )
+    def test_golden_instance(self, command, expected, tmp_path, monkeypatch, capsys):
+        counts = self.counts(monkeypatch)
         path = str(GOLDEN / "worked_instance.json")
         if command == "build":
             path = write_doc(tmp_path, _golden_build_doc())
         assert main(["--no-timing", command, path]) == 0
         capsys.readouterr()
-        names = (
-            "char_poly",
-            "irreducible_over_function_field",
-            "check_commutation",
-            "fiber_points",
-            "solve_right",
-        )
-        assert tuple(counts[name] for name in names) == expected
+        assert tuple(counts[name] for name in self.NAMES) == expected
+
+    def test_failing_fiber(self, tmp_path, monkeypatch, capsys):
+        # the pair commutes, so `check` evaluates no sample point: its only
+        # evaluations are the two fiber maps at the one marked point, which
+        # the failing eigenvalue rows reuse
+        doc = dict(WORKED)
+        doc["ThetaPrime"] = {"twist": 1, "entries": [["0", "2"], ["2*x", "0"]]}
+        counts = self.counts(monkeypatch)
+        assert main(["--no-timing", "check", write_doc(tmp_path, doc)]) == 1
+        assert json.loads(capsys.readouterr().out)["verdicts"]["fiber"] is False
+        assert (counts["evaluate_endo"], counts["check_fiber_condition"]) == (2, 1)
 
 
 class TestNoFunctionField:
@@ -945,7 +998,7 @@ def _reference_check(hecke, pair, sign):
         ),
     }
     details = {
-        "fiber": [{"x": str(v.x), "ok": v.ok} for v in fiber],
+        "fiber": [{"x": str(v.point.x), "ok": v.ok} for v in fiber],
         "eigenvalue": [
             {"x": str(r.x), "minimal": r.minimal, "ok": r.ok, "note": r.note}
             for r in rows

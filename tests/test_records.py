@@ -40,9 +40,9 @@ H_ONE = HeckeData(1, 1, (HeckePoint(F(0), F(1)),))
 RECORDS = {
     HeckePoint: (("x", "scale"), (F(0), F(1)), (F(1), F(2))),
     FiberVerdict: (
-        ("x", "ok", "residual"),
-        (F(0), True, ((F(0),),)),
-        (F(0), False, ((F(1),),)),
+        ("point", "ok", "first", "second"),
+        (HeckePoint(F(0), F(1)), True, ((F(1),),), ((F(1),),)),
+        (HeckePoint(F(0), F(1)), False, ((F(1),),), ((F(2),),)),
     ),
     EndoViolation: (("row", "col", "degree", "bound"), (0, 1, 3, 2), (1, 0, 3, 2)),
     SpectralCurve: (

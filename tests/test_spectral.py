@@ -348,7 +348,7 @@ class TestOracleProperties:
         curve = curve_of(pair.first)
         _, fiber = check_fiber_condition(pair, hecke)
         for sign in (1, -1):
-            _, rows = eigenvalue_condition(pair, hecke, sign)
+            _, rows = eigenvalue_condition(pair, fiber, sign)
             for p, verdict in zip(hecke.points, fiber):
                 if not verdict.ok:
                     continue
@@ -367,7 +367,9 @@ class TestOracleProperties:
         curve = curve_of(pair.first)
         quadratics = {format_unipoly(p, "t") for p in QUADRATICS}
         for sign in (1, -1):
-            verdict, rows = eigenvalue_condition(pair, hecke, sign)
+            verdict, rows = eigenvalue_condition(
+                pair, check_fiber_condition(pair, hecke)[1], sign
+            )
             assert (verdict, rows) == oracle_eigenvalue_condition(pair, curve, hecke, sign)
             if kind == "mixing":
                 # B keeps W but swaps nothing into place: no quadratic row is
@@ -393,7 +395,8 @@ SQRT2 = companion(QUADRATICS[0])  # t^2 - 2
 
 class TestEigenvalueCondition:
     def test_worked_instance(self):
-        ok, reports = eigenvalue_condition(HiggsPair(E2, THETA, THETA), H_ONE, 1)
+        pair = HiggsPair(E2, THETA, THETA)
+        ok, reports = eigenvalue_condition(pair, check_fiber_condition(pair, H_ONE)[1], 1)
         assert ok
         assert reports[0].multiplicity == 2
 
@@ -401,21 +404,22 @@ class TestEigenvalueCondition:
         data = HeckeData(1, 2, [HeckePoint(F(1), F(2))])
         second = TwistedEndo(E2, 2, [[0, 2 * X], [2 * X**2, 0]])
         pair = HiggsPair(E2, THETA, second)
-        ok, reports = eigenvalue_condition(pair, data, 1)
+        ok, reports = eigenvalue_condition(pair, check_fiber_condition(pair, data)[1], 1)
         assert ok and len(reports) == 2
 
     def test_flipped_scalar_fails(self):
         data = HeckeData(1, 2, [HeckePoint(F(1), F(-2))])
         second = TwistedEndo(E2, 2, [[0, 2 * X], [2 * X**2, 0]])
-        ok, _ = eigenvalue_condition(HiggsPair(E2, THETA, second), data, 1)
+        pair = HiggsPair(E2, THETA, second)
+        ok, _ = eigenvalue_condition(pair, check_fiber_condition(pair, data)[1], 1)
         assert not ok
 
     def test_sign_flip_detects_convention(self):
         data = HeckeData(1, 2, [HeckePoint(F(1), F(2))])
         second = TwistedEndo(E2, 2, [[0, 2 * X], [2 * X**2, 0]])
         pair = HiggsPair(E2, THETA, second)
-        ok_plus, _ = eigenvalue_condition(pair, data, 1)
-        ok_minus, _ = eigenvalue_condition(pair, data, -1)
+        ok_plus, _ = eigenvalue_condition(pair, check_fiber_condition(pair, data)[1], 1)
+        ok_minus, _ = eigenvalue_condition(pair, check_fiber_condition(pair, data)[1], -1)
         assert ok_plus and not ok_minus
 
     def test_implied_by_fiber_condition(self):
@@ -426,12 +430,15 @@ class TestEigenvalueCondition:
             points = [HeckePoint(F(x), F(rng.choice([1, -1, 2]))) for x in xs]
             data = HeckeData(2, 2, points)
             field = random_valid_instance(data, E2, 2 - max(length - 1, 0), seed)
-            ok, _ = eigenvalue_condition(field.pair, data, 1)
+            ok, _ = eigenvalue_condition(
+                field.pair, check_fiber_condition(field.pair, data)[1], 1
+            )
             assert ok
 
     def test_invalid_sign_rejected(self):
         with pytest.raises(ValidationError):
-            eigenvalue_condition(HiggsPair(E2, THETA, THETA), H_ONE, 2)
+            pair = HiggsPair(E2, THETA, THETA)
+            eigenvalue_condition(pair, check_fiber_condition(pair, H_ONE)[1], 2)
 
     def _rows(self, first, second, scale, sign):
         """The rows at x = 0 with lambda = scale; the number-field oracle
@@ -439,7 +446,7 @@ class TestEigenvalueCondition:
         pair = _constant_pair(first, second)
         data = HeckeData(1, 1, [HeckePoint(F(0), F(scale))])
         curve = curve_of(pair.first)
-        result = eigenvalue_condition(pair, data, sign)
+        result = eigenvalue_condition(pair, check_fiber_condition(pair, data)[1], sign)
         assert result == oracle_eigenvalue_condition(pair, curve, data, sign)
         return [(r.minimal, r.multiplicity, r.ok, r.note) for r in result[1]]
 
@@ -968,25 +975,36 @@ class TestMultiplicationMatrix:
 PACKAGE = Path(spectral_module.__file__).parent
 
 
-def verdict_constructions(source: str) -> list:
-    """The lines of `source` that call `EigenvalueVerdict`, by name or as an
-    attribute."""
+def calls_of(source: str, name: str) -> list:
+    """The lines of `source` that call `name`, by name or as an attribute."""
     return sorted(
         node.lineno
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Call)
-        and "EigenvalueVerdict"
-        in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     )
 
 
-def test_only_spectral_builds_eigenvalue_rows():
-    building = [
+def calling_modules(name: str) -> list:
+    return [
         path.name
         for path in sorted(PACKAGE.glob("*.py"))
-        if verdict_constructions(path.read_text(encoding="utf-8"))
+        if calls_of(path.read_text(encoding="utf-8"), name)
     ]
-    assert building == ["spectral.py"]
+
+
+def test_only_spectral_builds_eigenvalue_rows():
+    assert calling_modules("EigenvalueVerdict") == ["spectral.py"]
+
+
+def test_only_higgs_and_cli_evaluate_components():
+    """`higgs.check_fiber_condition` evaluates the components at the marked
+    points and hands the fiber maps on; `cli` evaluates them only at its
+    sample points."""
+    assert calling_modules("evaluate_endo") == ["cli.py", "higgs.py"]
+    cli = (PACKAGE / "cli.py").read_text(encoding="utf-8").splitlines()
+    for line in calls_of("\n".join(cli), "evaluate_endo"):
+        assert "_SAMPLE_POINTS" in cli[line - 1]
 
 
 def test_verdict_guard_catches_a_construction():
@@ -995,4 +1013,4 @@ def test_verdict_guard_catches_a_construction():
         "x = spectral.EigenvalueVerdict\n"
         "spectral.EigenvalueVerdict(0, 't', 1, True)\n"
     )
-    assert verdict_constructions(source) == [1, 3]
+    assert calls_of(source, "EigenvalueVerdict") == [1, 3]
