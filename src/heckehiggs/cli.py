@@ -27,8 +27,8 @@ from .errors import (
     RetryExhaustedError,
     ValidationError,
 )
-from .hecke import HeckeData, make_presentation, require_valid, validate
-from .higgs import HiggsPair, check_commutation, check_fiber_condition, reconstruct
+from .hecke import HeckeData, make_presentation, validate
+from .higgs import HiggsPair, _fiber_verdicts, _reconstruct, check_commutation
 from .linalg import mat_mul
 from .poly import format_unipoly, parse_fraction
 from .projline import evaluate_endo, validate_twisted_endo
@@ -43,8 +43,8 @@ from .serialize import (
     spectral_data_to_json,
 )
 from .spectral import (
+    _curve,
     backward_correspondence,
-    curve_of,
     eigenvalue_condition,
     fiber_points,
     forward_on_curve,
@@ -130,9 +130,9 @@ def cmd_check(doc: dict, sign: int):
         details["bounds"] = [v.describe() for v in v1 + v2]
     structural = all(verdicts.values())
     if structural:
-        pair = HiggsPair(bundle, first, second)
+        pair = HiggsPair._of_valid(bundle, first, second)
         verdicts["commutation"] = check_commutation(pair)
-        fiber_ok, fiber_verdicts = check_fiber_condition(pair, hecke)
+        fiber_ok, fiber_verdicts = _fiber_verdicts(pair, hecke)
         verdicts["fiber"] = fiber_ok
         details["fiber"] = [
             {"x": str(v.point.x), "ok": v.ok} for v in fiber_verdicts
@@ -169,7 +169,7 @@ def cmd_reconstruct(doc: dict, sign: int):
     hecke, pair, _ = instance_from_json(doc)
     report = {"command": "reconstruct", "version": __version__, "sign": sign}
     try:
-        field = reconstruct(pair, hecke)
+        field = _reconstruct(pair, hecke)
     except CommutationError as exc:
         report["error"] = {"kind": "commutation", "message": str(exc)}
         report["instance"] = doc
@@ -188,9 +188,8 @@ def cmd_reconstruct(doc: dict, sign: int):
 
 def cmd_spectral(doc: dict, sign: int):
     hecke, pair, _ = instance_from_json(doc)
-    require_valid(hecke)
     report = {"command": "spectral", "version": __version__, "sign": sign}
-    curve = curve_of(pair.first)
+    curve = _curve(pair.first)
     report["char_coefficients"] = [format_unipoly(s) for s in curve.char_coefficients]
     report["curve"] = spectral_curve_to_json(curve)
     integral, certificate = is_integral(curve)
@@ -202,7 +201,7 @@ def cmd_spectral(doc: dict, sign: int):
         report["instance"] = doc
         return report, 1
     try:
-        field = reconstruct(pair, hecke)
+        field = _reconstruct(pair, hecke)
         spectral = forward_on_curve(field, curve, fibers, sign)
     except _MATH_ERRORS as exc:
         return _failure(report, exc, doc)

@@ -18,8 +18,9 @@ invertible.  Its rank lies between max(min(alpha, L), min(beta, L)) and
 min(L, alpha+beta).  The bounds meet exactly when max(alpha, beta) >= L or
 min(alpha, beta) = 0, and then h0 = max(alpha+beta-L, 0) with no
 elimination; only the constrained twists, 1 <= min(alpha, beta) and
-max(alpha, beta) < L, are counted by a rank.  `splitting_type` probes each
-twist of its window once.
+max(alpha, beta) < L, are counted by a rank.  `splitting_type` checks the
+presentation once and probes each twist of its window once, through the
+core `_h0`, which assumes distinct points and nonzero scalars.
 """
 
 from __future__ import annotations
@@ -93,6 +94,11 @@ def h0_of_twist(data: HeckeData, n: int) -> int:
     rank is computed by elimination.
     """
     require_valid(data)
+    return _h0(data, n)
+
+
+def _h0(data: HeckeData, n: int) -> int:
+    """`h0_of_twist` of a presentation known to be valid."""
     alpha = max(data.a + n + 1, 0)
     beta = max(data.b + n + 1, 0)
     if max(alpha, beta) >= data.length or min(alpha, beta) == 0:
@@ -121,21 +127,21 @@ def splitting_type(data: HeckeData) -> tuple:
     top = max(data.a, data.b)
     n = -(top + 2)
     guard = -min(data.a, data.b) + data.length + 1
-    h0 = h0_of_twist(data, n)
+    h0 = _h0(data, n)
     while h0 == 0:
         n += 1
         if n > guard:
             raise ValidationError(
                 "no sections below the guaranteed twist (internal error)"
             )
-        h0 = h0_of_twist(data, n)
+        h0 = _h0(data, n)
     c = -n
     d = total - c
     if c < d:
         raise ValidationError("section jump above the degree midpoint (internal error)")
     for m in range(n, max(2, -d + 1) + 1):
         if m > n:
-            h0 = h0_of_twist(data, m)
+            h0 = _h0(data, m)
         if h0 != max(c + m + 1, 0) + max(d + m + 1, 0):
             raise ValidationError(
                 f"section profile mismatch at twist {m} (internal error)"

@@ -5,10 +5,12 @@ components, one of twist a and one of twist b.  A pair underlies a genuine
 twisted field exactly when the two components commute and, at every marked
 point x_i, the second component's fiber map equals lambda_i times the
 first's.  ``check_commutation``, the one place that decides the first
-condition, compares the two products over Q[x]; ``check_fiber_condition``,
-which decides the second, is the one place a component is evaluated at a
-marked point.  ``reconstruct`` certifies both conditions and produces the
-validated field; ``decompose`` projects back to the pair.  The backward
+condition, compares the two products over Q[x]; ``check_fiber_condition``
+decides the second, and its core ``_fiber_verdicts`` is the one place a
+component is evaluated at a marked point.  ``reconstruct`` certifies both
+conditions and produces the validated field; ``decompose`` projects back to
+the pair.  Both check the presentation once, then call a private core
+that assumes that check; the commands call the cores.  The backward
 spectral correspondence builds fields whose pairs satisfy both conditions
 by construction.  A field's certificate is derived from its presentation by
 ``TwistedHiggsField.certificate``, the one place its format is written.
@@ -35,6 +37,13 @@ class HiggsPair(Record):
         require_valid_endo(second, "second component")
         super().__init__(bundle, first, second)
 
+    @classmethod
+    def _of_valid(cls, bundle: SplitBundle, first: TwistedEndo, second: TwistedEndo):
+        """The pair of components on `bundle` known to meet their bounds."""
+        pair = object.__new__(cls)
+        Record.__init__(pair, bundle, first, second)
+        return pair
+
     @property
     def rank(self) -> int:
         return self.bundle.rank
@@ -59,7 +68,14 @@ def check_fiber_condition(pair: HiggsPair, data: HeckeData):
     """Exact fiber equation second(x_i) = lambda_i * first(x_i) at every
     marked point.  Returns (all_ok, per-point verdicts), which carry the
     fiber maps on to `spectral.eigenvalue_condition`."""
+    require_valid(data)
     ensure_consistent(pair, data)
+    return _fiber_verdicts(pair, data)
+
+
+def _fiber_verdicts(pair: HiggsPair, data: HeckeData):
+    """`check_fiber_condition` of a valid presentation whose degrees the
+    pair's twists match."""
     verdicts = []
     for p in data.points:
         first = evaluate_endo(pair.first, p.x)
@@ -71,7 +87,6 @@ def check_fiber_condition(pair: HiggsPair, data: HeckeData):
 
 def ensure_consistent(pair: HiggsPair, data: HeckeData):
     """Twists of the pair must match the presentation degrees."""
-    require_valid(data)
     if pair.first.twist != data.a:
         raise ValidationError(
             f"first component has twist {pair.first.twist}, presentation needs {data.a}"
@@ -112,10 +127,17 @@ def reconstruct(pair: HiggsPair, data: HeckeData) -> TwistedHiggsField:
     equation fails.  On success the returned field is the unique one whose
     components are the given pair.
     """
+    require_valid(data)
     ensure_consistent(pair, data)
+    return _reconstruct(pair, data)
+
+
+def _reconstruct(pair: HiggsPair, data: HeckeData) -> TwistedHiggsField:
+    """`reconstruct` of a valid presentation whose degrees the pair's twists
+    match, as `serialize.instance_from_json` returns them."""
     if not check_commutation(pair):
         raise CommutationError("components do not commute")
-    ok, verdicts = check_fiber_condition(pair, data)
+    ok, verdicts = _fiber_verdicts(pair, data)
     if not ok:
         failing = [v.point.x for v in verdicts if not v.ok]
         raise FiberConditionError(

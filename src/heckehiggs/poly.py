@@ -30,7 +30,7 @@ takes no polynomial product or power.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from fractions import Fraction
 from math import factorial, isqrt, lcm
 
@@ -91,19 +91,6 @@ class UniPoly(Record):
         if power < 0:
             raise ValueError("monomial power must be nonnegative")
         return cls((0,) * power + (_as_fraction(coeff),))
-
-    @classmethod
-    def interpolate(cls, points: Sequence[tuple]) -> "UniPoly":
-        """Lagrange interpolation through distinct abscissas."""
-        result = cls.zero()
-        for i, (xi, yi) in enumerate(points):
-            term = cls.constant(yi)
-            for j, (xj, _) in enumerate(points):
-                if i == j:
-                    continue
-                term = term * cls((-xj, 1)) / (xi - xj)
-            result = result + term
-        return result
 
     # -- structure ----------------------------------------------------
 

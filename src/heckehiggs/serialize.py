@@ -15,7 +15,7 @@ optionally carrying a "spectral" section
 from __future__ import annotations
 
 from .errors import ParseError
-from .hecke import HeckeData, HeckePoint
+from .hecke import HeckeData, HeckePoint, require_valid
 from .higgs import HiggsPair
 from .poly import (
     format_bipoly,
@@ -135,7 +135,7 @@ def instance_to_json(
 
 
 def instance_parts_from_json(doc: dict):
-    """Parse an instance document into raw parts without degree-bound checks.
+    """Parse an instance document into parts; `check` reports their validity.
 
     Returns (hecke, bundle, first, second, spectral-or-None); cross-field
     twist consistency (Theta twist == S degree, ThetaPrime twist == L degree)
@@ -160,8 +160,9 @@ def instance_parts_from_json(doc: dict):
 
 
 def instance_from_json(doc: dict):
-    """Parse a full instance document into (hecke, pair, spectral-or-None);
-    the pair construction enforces the twisted-endomorphism degree bounds."""
+    """Parse a full instance document into (hecke, pair, spectral-or-None),
+    validated once: the pair's degree bounds first, then the presentation."""
     hecke, bundle, first, second, spectral = instance_parts_from_json(doc)
     pair = HiggsPair(bundle, first, second)
+    require_valid(hecke)
     return hecke, pair, spectral

@@ -13,7 +13,8 @@ irreducible over Q(x)) the pair is equivalent to rank-1 data on the curve:
 the multiplier psi expressing the second component as a function-field
 polynomial in the first.  The backward direction realizes the structure
 module: basis 1, t, ..., t^(r-1), companion matrix, multiplication by psi,
-and certifies its output by construction.
+and certifies its output by construction.  `curve_of` checks the degree
+bounds; its core `_curve` assumes them, as a `HiggsPair` meets them.
 
 The fiber of the curve above a rational point x0 is the set of irreducible
 factors p^m of chi(x0, t) over Q, each a conjugate class of points.  A
@@ -71,12 +72,7 @@ from .poly import (
     _det_unipoly,
     format_unipoly,
 )
-from .projline import (
-    SplitBundle,
-    TwistedEndo,
-    require_valid_endo,
-    validate_twisted_endo,
-)
+from .projline import SplitBundle, TwistedEndo, require_valid_endo
 
 
 class SpectralCurve(Record):
@@ -127,8 +123,13 @@ class SpectralData(Record):
 
 
 def curve_of(endo: TwistedEndo) -> SpectralCurve:
-    """The spectral curve det(tI - M) of a valid twisted endomorphism M."""
+    """The spectral curve det(tI - M) of a twisted endomorphism M."""
     require_valid_endo(endo, "twisted endomorphism")
+    return _curve(endo)
+
+
+def _curve(endo: TwistedEndo) -> SpectralCurve:
+    """`curve_of` of M within its degree bounds, as a `HiggsPair`'s are."""
     return SpectralCurve(char_poly(endo.entries), endo.twist, endo.rank)
 
 
@@ -235,7 +236,7 @@ def eigenvalue_condition(pair: HiggsPair, fiber: list, sign: int = 1):
     and the row states it for each."""
     if sign not in (1, -1):
         raise ValidationError("sign must be +1 or -1")
-    curve = curve_of(pair.first)
+    curve = _curve(pair.first)
     reports = []
     for verdict in fiber:
         hp = verdict.point
@@ -363,8 +364,9 @@ def forward_correspondence(field: TwistedHiggsField, sign: int = 1) -> SpectralD
     sign * lambda_i * y at every fiber point y above the marked points; the
     witnesses of a miss follow from the fiber equation (`forward_on_curve`).
     """
+    require_valid(field.hecke)
     ensure_consistent(field.pair, field.hecke)
-    curve = curve_of(field.pair.first)
+    curve = _curve(field.pair.first)
     _require_integral(curve)
     fibers = [fiber_points(curve, hp.x) for hp in field.hecke.points]
     return forward_on_curve(field, curve, fibers, sign)
@@ -488,12 +490,13 @@ def backward_correspondence(
         raise EigenvalueConditionError(message, witnesses)
     first = multiplication_matrix(curve, BiPoly.t(), data.a)
     second = multiplication_matrix(curve, spectral.psi, data.b)
-    violations = validate_twisted_endo(second)
-    if violations:
-        detail = "; ".join(v.describe() for v in violations)
+    try:
+        pair = HiggsPair(first.source, first, second)
+    except ValidationError as exc:  # the companion matrix meets its bounds
+        detail = str(exc).partition(": ")[2]
         raise DegreeBoundError(
             f"multiplier violates the twist-{data.b} degree bounds: {detail}"
-        )
+        ) from None
     if sign == 1:
         target = data
     else:
@@ -502,7 +505,6 @@ def backward_correspondence(
             data.b,
             [HeckePoint(p.x, -p.scale) for p in data.points],
         )
-    pair = HiggsPair(first.source, first, second)
     return TwistedHiggsField(target, pair)
 
 
@@ -510,7 +512,7 @@ def certify_stability(field: TwistedHiggsField):
     """'Stable' with an integrality certificate when the spectral curve of
     the first component is integral; 'Unknown' otherwise (a non-integral
     curve does not imply instability)."""
-    curve = curve_of(field.pair.first)
+    curve = _curve(field.pair.first)
     integral, certificate = is_integral(curve)
     if integral:
         return "Stable", certificate

@@ -20,6 +20,7 @@ from heckehiggs.linalg import mat_mul, solve_right
 from heckehiggs.poly import UniPoly
 from heckehiggs.projline import SplitBundle, TwistedEndo
 from heckehiggs.spectral import SpectralCurve
+from oracles import interpolate
 
 
 def endo_scalar(source: SplitBundle, poly: UniPoly, twist: int) -> TwistedEndo:
@@ -67,7 +68,7 @@ def random_valid_instance(
     rng = random.Random(rng_seed)
 
     if ell:
-        beta = UniPoly.interpolate([(p.x, p.scale) for p in data.points])
+        beta = interpolate([(p.x, p.scale) for p in data.points])
         room = b - a - max(beta.degree, 0)
         if room >= ell:
             extra = _random_poly(rng, room - ell)

@@ -188,6 +188,18 @@ def gcd_t_over_qx(p: BiPoly, q: BiPoly) -> BiPoly:
     return BiPoly(coeffs)
 
 
+def interpolate(points) -> UniPoly:
+    """Lagrange interpolation through distinct abscissas."""
+    result = UniPoly.zero()
+    for i, (xi, yi) in enumerate(points):
+        term = UniPoly.constant(yi)
+        for j, (xj, _) in enumerate(points):
+            if i != j:
+                term = term * UniPoly((-xj, 1)) / (xi - xj)
+        result = result + term
+    return result
+
+
 def rational_roots(p: UniPoly):
     """All rational roots with multiplicities, read off the linear factors."""
     _, factors = factor_rationals(p)

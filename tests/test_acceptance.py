@@ -34,7 +34,7 @@ from instance_strategies import (
     perturb_second_at_point,
     random_valid_instance,
 )
-from oracles import at_t, cofactor_char_poly
+from oracles import at_t, cofactor_char_poly, interpolate
 
 F = Fraction
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -161,7 +161,7 @@ def compatible_pair(rng, r, a):
     for x in xs:
         vanishing = vanishing * UniPoly((-x, 1))
     while True:
-        beta = random_poly(rng, b - a - length) * vanishing + UniPoly.interpolate(
+        beta = random_poly(rng, b - a - length) * vanishing + interpolate(
             [(x, F(rng.choice([1, -1, 2, 3]), rng.choice([1, 2]))) for x in xs]
         )
         if beta.degree > b - a:
@@ -280,7 +280,7 @@ def oracle_has_linear_t_factor(chi):
             return False
         root_sets.append(roots)
     for combo in itertools.product(*root_sets):
-        v = UniPoly.interpolate(list(zip(points, combo)))
+        v = interpolate(list(zip(points, combo)))
         if at_t(chi, v).is_zero():
             return True
     return False

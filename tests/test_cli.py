@@ -38,6 +38,14 @@ WORKED = {
     "ThetaPrime": {"twist": 1, "entries": [["0", "1"], ["x", "0"]]},
 }
 
+# a zero scalar and a repeated point, with the problems `validate` names
+INVALID_HECKE = {
+    "S": 1,
+    "L": 1,
+    "points": [{"x": "0", "lambda": "0"}, {"x": "0", "lambda": "1"}],
+}
+INVALID_MESSAGE = "point 0 at x=0 has zero scalar; duplicate marked point x=0 (indices 0, 1)"
+
 
 def write_doc(tmp_path, doc, name="doc.json"):
     path = tmp_path / name
@@ -83,6 +91,14 @@ class TestCheck:
         code, report, _ = run(capsys, "check", str(path))
         assert code == 2
 
+
+    def test_check_reports_an_invalid_presentation(self, tmp_path, capsys):
+        # check collects the presentation's problems instead of refusing it
+        doc = dict(WORKED, hecke=INVALID_HECKE)
+        code, report, _ = run(capsys, "--no-timing", "check", write_doc(tmp_path, doc))
+        assert code == 1
+        assert report["verdicts"]["hecke_valid"] is False
+        assert report["details"]["hecke"] == INVALID_MESSAGE.split("; ")
 
 class TestReconstructCommand:
     def test_success_emits_certificate(self, tmp_path, capsys):
@@ -147,21 +163,14 @@ class TestSpectralCommand:
     def test_invalid_presentation_is_input_error(self, theta, tmp_path, capsys):
         # a zero scalar and a repeated point: refused before the curve is
         # built, with reconstruct's message, whatever the curve
-        doc = dict(WORKED)
-        doc["hecke"] = {
-            "S": 1,
-            "L": 1,
-            "points": [{"x": "0", "lambda": "0"}, {"x": "0", "lambda": "1"}],
-        }
+        doc = dict(WORKED, hecke=INVALID_HECKE)
         doc["Theta"] = doc["ThetaPrime"] = {"twist": 1, "entries": theta}
         path = write_doc(tmp_path, doc)
         _, expected, _ = run(capsys, "--no-timing", "reconstruct", path)
         code, report, _ = run(capsys, "--no-timing", "spectral", path)
         assert code == 2
         assert report["error"]["kind"] == "input"
-        assert report["error"]["message"] == expected["error"]["message"] == (
-            "point 0 at x=0 has zero scalar; duplicate marked point x=0 (indices 0, 1)"
-        )
+        assert report["error"]["message"] == expected["error"]["message"] == INVALID_MESSAGE
 
     def test_non_reduced_instance(self, tmp_path, capsys):
         doc = dict(WORKED)
@@ -273,6 +282,13 @@ class TestBuildCommand:
         expected["hecke"]["points"][0]["lambda"] = str(sign)
         assert {key: report["instance"][key] for key in doc} == expected
 
+
+    def test_build_refuses_an_invalid_presentation(self, tmp_path, capsys):
+        spectral = json.loads((GOLDEN / "worked_expected_spectral.json").read_text())
+        doc = {"hecke": INVALID_HECKE, "spectral": spectral["spectral"]}
+        code, report, _ = run(capsys, "--no-timing", "build", write_doc(tmp_path, doc))
+        assert code == 2
+        assert report["error"] == {"kind": "input", "message": INVALID_MESSAGE}
 
 class TestHeckeMakeCommand:
     def test_target_hit(self, capsys):
@@ -857,10 +873,12 @@ class TestComputeOnce:
     decides commutation and evaluates each component at each marked point
     at most once; a passing `build` factors no fiber, decides no
     commutation and evaluates no component, and no command runs a linear
-    solve (the commutant solve is Cramer's rule over Q[x]).  Counted:
-    char_poly, irreducible_over_function_field, check_commutation,
-    fiber_points, linalg's solve_right, evaluate_endo and
-    check_fiber_condition."""
+    solve (the commutant solve is Cramer's rule over Q[x]).  Each command
+    validates the presentation once and each component once, where it
+    reads them.  Counted: char_poly, irreducible_over_function_field,
+    check_commutation, fiber_points, linalg's solve_right, evaluate_endo,
+    the fiber equation (`higgs._fiber_verdicts`, the core of
+    check_fiber_condition), hecke.validate and validate_twisted_endo."""
 
     NAMES = (
         "char_poly",
@@ -869,7 +887,9 @@ class TestComputeOnce:
         "fiber_points",
         "solve_right",
         "evaluate_endo",
-        "check_fiber_condition",
+        "_fiber_verdicts",
+        "validate",
+        "validate_twisted_endo",
     )
 
     @staticmethod
@@ -884,13 +904,16 @@ class TestComputeOnce:
             return wrapper
 
         # these are counted through every module binding: `check` and the
-        # commutant solve call check_commutation through their own, and
-        # `spectral` factors its fibers through cli's
+        # commutant solve call check_commutation through their own,
+        # `spectral` factors its fibers through cli's, and `check` validates
+        # through cli's
         for name, module in (
             ("check_commutation", higgs_module),
             ("fiber_points", spectral_module),
             ("evaluate_endo", projline_module),
-            ("check_fiber_condition", higgs_module),
+            ("_fiber_verdicts", higgs_module),
+            ("validate", hecke_module),
+            ("validate_twisted_endo", projline_module),
         ):
             original = getattr(module, name)
             wrapper = counting(name, original)
@@ -911,10 +934,10 @@ class TestComputeOnce:
     @pytest.mark.parametrize(
         "command, expected",
         [
-            ("check", (1, 0, 1, 1, 0, 2, 1)),
-            ("reconstruct", (0, 0, 1, 0, 0, 2, 1)),
-            ("spectral", (1, 1, 1, 1, 0, 2, 1)),
-            ("build", (0, 1, 0, 0, 0, 0, 0)),
+            ("check", (1, 0, 1, 1, 0, 2, 1, 1, 2)),
+            ("reconstruct", (0, 0, 1, 0, 0, 2, 1, 1, 2)),
+            ("spectral", (1, 1, 1, 1, 0, 2, 1, 1, 2)),
+            ("build", (0, 1, 0, 0, 0, 0, 0, 1, 2)),
         ],
     )
     def test_golden_instance(self, command, expected, tmp_path, monkeypatch, capsys):
@@ -935,7 +958,15 @@ class TestComputeOnce:
         counts = self.counts(monkeypatch)
         assert main(["--no-timing", "check", write_doc(tmp_path, doc)]) == 1
         assert json.loads(capsys.readouterr().out)["verdicts"]["fiber"] is False
-        assert (counts["evaluate_endo"], counts["check_fiber_condition"]) == (2, 1)
+        assert (counts["evaluate_endo"], counts["_fiber_verdicts"]) == (2, 1)
+
+    def test_hecke_make(self, monkeypatch, capsys):
+        # splitting_type validates the one presentation it is given, and its
+        # section-count probes do not validate it again
+        counts = self.counts(monkeypatch)
+        assert main(["--no-timing", "hecke-make", "3", "-3", "12"]) == 0
+        capsys.readouterr()
+        assert (counts["validate"], counts["validate_twisted_endo"]) == (1, 0)
 
 
 class TestNoFunctionField:

@@ -137,10 +137,13 @@ class TestProbeCounts:
         ids=["generic", "jumped", "negative", "four-points", "3,-3,12", "14,1,12"],
     )
     def test_each_twist_is_probed_once(self, data, monkeypatch):
-        calls = count_calls(monkeypatch, "h0_of_twist")
+        # the presentation is validated once, not again at every probe
+        calls = count_calls(monkeypatch, "_h0")
+        validations = count_calls(monkeypatch, "validate")
         c, d = splitting_type(data)
         top = max(data.a, data.b)
         assert [n for _, n in calls] == list(range(-(top + 2), max(2, -d + 1) + 1))
+        assert len(validations) == 1
 
     def test_unconstrained_twists_run_no_elimination(self, monkeypatch):
         # (a, b) = (26, 1) with 12 points: every twist has beta = 0 or

@@ -52,7 +52,7 @@ from instance_strategies import (
     random_valid_instance,
     valid_fields,
 )
-from oracles import eigenspace_invariance, pointwise_multiplier_witnesses
+from oracles import eigenspace_invariance, interpolate, pointwise_multiplier_witnesses
 from oracles import eigenvalue_condition as oracle_eigenvalue_condition
 
 X = UniPoly.variable()
@@ -854,7 +854,7 @@ def build_inputs(draw):
     assume(is_integral(curve)[0])
     xs = draw(st.lists(st.integers(-2, 2), max_size=2, unique=True))
     points = [HeckePoint(F(x), draw(st.sampled_from(SCALARS))) for x in xs]
-    beta = UniPoly.interpolate([(p.x, p.scale) for p in points]) if points else UniPoly.one()
+    beta = interpolate([(p.x, p.scale) for p in points]) if points else UniPoly.one()
     vanishing = UniPoly.one()
     for p in points:
         vanishing = vanishing * UniPoly((-p.x, 1))
